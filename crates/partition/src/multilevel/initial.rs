@@ -1,6 +1,8 @@
 //! Initial partitioning of the coarsest graph: greedy graph growing
 //! bisection, Fiduccia–Mattheyses-style refinement, recursive bisection.
 
+use std::cmp::Reverse;
+
 use blockpart_graph::Csr;
 use blockpart_types::ShardCount;
 use rand::rngs::SmallRng;
@@ -117,8 +119,12 @@ impl Subgraph {
 }
 
 /// Runs `config.init_trials` GGG+FM attempts and returns the side
-/// assignment (0/1 per local vertex) with the smallest cut among those
-/// within tolerance, or the best-balanced one if none meet it.
+/// assignment (0/1 per local vertex) of the attempt with the smallest cut,
+/// ties going to the smaller distance from `target0` and then to the
+/// earlier attempt. Balance is never tested against `config.imbalance`
+/// here: FM only moves a vertex into a side that stays within it, but an
+/// attempt FM skipped, or whose grown side already overshot, still
+/// competes, and a lower cut wins however unbalanced the attempt is.
 fn best_bisection(
     sub: &Subgraph,
     target0: u64,
@@ -132,9 +138,10 @@ fn best_bisection(
     }
     let mut best: Option<(u64, u64, Vec<u8>)> = None; // (cut, balance error, side)
     let trials = config.init_trials.max(1);
-    // FM's pass is O(n²); on the rare occasions coarsening stalls and the
-    // "coarsest" graph is large, skip FM here and let the O(V + E) k-way
-    // refinement of the uncoarsening phase do the polishing.
+    // A pass of FM costs O((V + E) log V), so this cutoff is not needed for
+    // speed. It stays because lifting it would change the partitions of
+    // graphs whose coarsening stalls above 4096 vertices; those are left
+    // to the O(V + E) k-way refinement of the uncoarsening phase.
     let run_fm = n <= 4096;
     for _ in 0..trials {
         let mut side = grow(csr, target0, rng);
@@ -240,9 +247,10 @@ pub(crate) fn fm_refine(
     let hi0 = ((target0 as f64) * imbalance).ceil() as u64;
     let hi1 = ((target1 as f64) * imbalance).ceil() as u64;
 
+    let mut buffers = FmBuffers::new(csr);
     let mut total_gain = 0i64;
     for _ in 0..max_passes {
-        let pass_gain = fm_pass(csr, side, hi0, hi1);
+        let pass_gain = fm_pass(csr, side, hi0, hi1, &mut buffers);
         if pass_gain <= 0 {
             break;
         }
@@ -251,7 +259,200 @@ pub(crate) fn fm_refine(
     total_gain
 }
 
-fn fm_pass(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64) -> i64 {
+/// A move candidate's rank: higher gain first, then lower vertex index.
+type Rank = (i64, Reverse<u32>);
+
+/// The rank of a locked vertex, below that of every vertex that can move.
+const LOCKED: Rank = (i64::MIN, Reverse(u32::MAX));
+
+/// A max segment tree over ranks, stored bottom-up: leaf `i` at
+/// `node[len + i]`, node `j`'s children at `2j` and `2j + 1`.
+#[derive(Default)]
+struct MaxTree {
+    node: Vec<Rank>,
+}
+
+impl MaxTree {
+    fn len(&self) -> usize {
+        self.node.len() / 2
+    }
+
+    /// Replaces the leaves with `leaves`.
+    fn fill(&mut self, leaves: impl ExactSizeIterator<Item = Rank>) {
+        let len = leaves.len();
+        self.node.clear();
+        self.node.reserve_exact(2 * len);
+        self.node.resize(len, LOCKED);
+        self.node.extend(leaves);
+        for j in (1..len).rev() {
+            self.node[j] = self.node[2 * j].max(self.node[2 * j + 1]);
+        }
+    }
+
+    fn set(&mut self, leaf: usize, rank: Rank) {
+        let mut j = self.len() + leaf;
+        self.node[j] = rank;
+        while j > 1 {
+            j /= 2;
+            self.node[j] = self.node[2 * j].max(self.node[2 * j + 1]);
+        }
+    }
+
+    /// The highest rank among the first `end` leaves (`LOCKED` if none).
+    fn prefix_max(&self, end: usize) -> Rank {
+        let (mut lo, mut hi) = (self.len(), self.len() + end);
+        let mut best = LOCKED;
+        while lo < hi {
+            if lo % 2 == 1 {
+                best = best.max(self.node[lo]);
+                lo += 1;
+            }
+            if hi % 2 == 1 {
+                hi -= 1;
+                best = best.max(self.node[hi]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        best
+    }
+}
+
+/// The buffers of [`fm_pass`], kept across the passes of one
+/// [`fm_refine`] call.
+///
+/// A vertex can move to the other side when its weight fits that side's
+/// slack, `hi[to] − weights[to]`. So each side keeps its vertices sorted
+/// by (weight, index), and the movable ones form a prefix of that order,
+/// found by binary search; a max tree over each side's order then gives
+/// the best rank within the prefix.
+struct FmBuffers {
+    /// Every vertex, sorted by (weight, index).
+    by_weight: Vec<u32>,
+    /// Per side, the vertices on it when the pass starts, in
+    /// (weight, index) order.
+    order: [Vec<u32>; 2],
+    /// Per side, the ranks of `order`; locked vertices rank `LOCKED`.
+    tree: [MaxTree; 2],
+    /// Each vertex's position in its side's `order`.
+    leaf: Vec<u32>,
+    gain: Vec<i64>,
+    locked: Vec<bool>,
+    moves: Vec<usize>,
+}
+
+impl FmBuffers {
+    fn new(csr: &Csr) -> FmBuffers {
+        let n = csr.node_count();
+        let mut by_weight: Vec<u32> = (0..n as u32).collect();
+        by_weight.sort_unstable_by_key(|&v| (csr.vertex_weight(v as usize), v));
+        FmBuffers {
+            by_weight,
+            order: [Vec::with_capacity(n), Vec::with_capacity(n)],
+            tree: Default::default(),
+            leaf: vec![0; n],
+            gain: Vec::with_capacity(n),
+            locked: Vec::with_capacity(n),
+            moves: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// One FM pass: repeatedly moves the unlocked vertex with the highest gain
+/// (lowest index on ties) whose move keeps the destination side within
+/// `hi0`/`hi1`, locks it, and finally keeps the best prefix of the moves.
+/// Each move costs O((1 + degree) log V).
+///
+/// Returns the committed gain.
+fn fm_pass(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64, s: &mut FmBuffers) -> i64 {
+    let n = csr.node_count();
+    s.gain.clear();
+    s.gain.extend((0..n).map(|v| {
+        let mut g = 0i64;
+        for (u, w) in csr.neighbors(v) {
+            if side[u as usize] == side[v] {
+                g -= w as i64;
+            } else {
+                g += w as i64;
+            }
+        }
+        g
+    }));
+    let mut weights = [0u64, 0];
+    for v in 0..n {
+        weights[side[v] as usize] += csr.vertex_weight(v);
+    }
+    let hi = [hi0, hi1];
+
+    for order in &mut s.order {
+        order.clear();
+    }
+    for &v in &s.by_weight {
+        let order = &mut s.order[side[v as usize] as usize];
+        s.leaf[v as usize] = order.len() as u32;
+        order.push(v);
+    }
+    for (tree, order) in s.tree.iter_mut().zip(&s.order) {
+        tree.fill(order.iter().map(|&v| (s.gain[v as usize], Reverse(v))));
+    }
+    s.locked.clear();
+    s.locked.resize(n, false);
+    s.moves.clear();
+
+    let (mut running, mut best_total, mut best_len) = (0i64, 0i64, 0usize);
+    loop {
+        // Best unlocked move that keeps the destination side within bound.
+        let mut best = LOCKED;
+        for (from, order) in s.order.iter().enumerate() {
+            let to = 1 - from;
+            let Some(slack) = hi[to].checked_sub(weights[to]) else {
+                continue;
+            };
+            let fits = order.partition_point(|&v| csr.vertex_weight(v as usize) <= slack);
+            best = best.max(s.tree[from].prefix_max(fits));
+        }
+        if best == LOCKED {
+            break;
+        }
+        let (g, Reverse(v)) = best;
+        let v = v as usize;
+        let from = side[v] as usize;
+        let to = 1 - from;
+        weights[from] -= csr.vertex_weight(v);
+        weights[to] += csr.vertex_weight(v);
+        side[v] = to as u8;
+        s.locked[v] = true;
+        s.tree[from].set(s.leaf[v] as usize, LOCKED);
+        s.moves.push(v);
+        running += g;
+        if running > best_total {
+            best_total = running;
+            best_len = s.moves.len();
+        }
+        for (u, w) in csr.neighbors(v) {
+            let u = u as usize;
+            if !s.locked[u] {
+                if side[u] == side[v] {
+                    s.gain[u] -= 2 * w as i64;
+                } else {
+                    s.gain[u] += 2 * w as i64;
+                }
+                s.tree[side[u] as usize].set(s.leaf[u] as usize, (s.gain[u], Reverse(u as u32)));
+            }
+        }
+    }
+
+    // roll back moves beyond the best prefix
+    for &v in s.moves[best_len..].iter().rev() {
+        side[v] = 1 - side[v];
+    }
+    best_total
+}
+
+/// The reference for [`fm_pass`]: the same pass, choosing each move by a
+/// linear scan over all vertices, so a pass costs O(V²).
+#[cfg(test)]
+fn fm_pass_scan(csr: &Csr, side: &mut [u8], hi0: u64, hi1: u64) -> i64 {
     let n = csr.node_count();
     let mut gain: Vec<i64> = (0..n)
         .map(|v| {
@@ -340,6 +541,7 @@ fn cut_weight(csr: &Csr, side: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -408,17 +610,7 @@ mod tests {
         let edges: Vec<(u32, u32, u64)> = (1..11).map(|i| (0, i, 1)).collect();
         let mut vwgt = vec![1u64; 11];
         vwgt[0] = 10;
-        let base = Csr::from_edges(11, &edges);
-        let csr = Csr::from_parts(
-            (0..=11).map(|v| base_xadj(&base, v)).collect(),
-            (0..11)
-                .flat_map(|v| base.neighbors(v).map(|(u, _)| u))
-                .collect(),
-            (0..11)
-                .flat_map(|v| base.neighbors(v).map(|(_, w)| w))
-                .collect(),
-            vwgt,
-        );
+        let csr = with_weights(&Csr::from_edges(11, &edges), vwgt);
         let p = recursive_bisection(
             &csr,
             ShardCount::TWO,
@@ -430,11 +622,64 @@ mod tests {
         assert!(weights.iter().all(|&w| w <= 13), "weights {weights:?}");
     }
 
-    fn base_xadj(csr: &Csr, v: usize) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (0..v).map(|u| csr.degree(u)).sum()
+    /// `base` with its vertex weights replaced by `vwgt`.
+    fn with_weights(base: &Csr, vwgt: Vec<u64>) -> Csr {
+        let n = base.node_count();
+        let mut xadj = vec![0];
+        for v in 0..n {
+            xadj.push(xadj[v] + base.degree(v));
+        }
+        Csr::from_parts(
+            xadj,
+            (0..n)
+                .flat_map(|v| base.neighbors(v).map(|(u, _)| u))
+                .collect(),
+            (0..n)
+                .flat_map(|v| base.neighbors(v).map(|(_, w)| w))
+                .collect(),
+            vwgt,
+        )
+    }
+
+    /// A random graph with random vertex weights (0 included), a random
+    /// side per vertex, and side ceilings within 4 of half the total
+    /// weight, so that one side sits at its ceiling for most of a pass.
+    fn fm_case() -> impl Strategy<Value = (Csr, Vec<u8>, u64, u64)> {
+        (2usize..64).prop_flat_map(|n| {
+            let edge = (0..n as u32, 0..n as u32, 1u64..5)
+                .prop_filter("no self-loops", |(u, v, _)| u != v);
+            (
+                proptest::collection::vec(edge, 0..4 * n),
+                proptest::collection::vec(0u64..6, n),
+                proptest::collection::vec(any::<bool>(), n),
+                (0u64..9, 0u64..9),
+            )
+                .prop_map(move |(edges, vwgt, sides, (d0, d1))| {
+                    let csr = with_weights(&Csr::from_edges(n, &edges), vwgt);
+                    let half = csr.total_vertex_weight() / 2;
+                    let side = sides.into_iter().map(u8::from).collect();
+                    let hi = |d: u64| (half + d).saturating_sub(4);
+                    (csr, side, hi(d0), hi(d1))
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn fm_pass_matches_the_linear_scan((csr, start, hi0, hi1) in fm_case()) {
+            // consecutive passes share one set of buffers, as in fm_refine
+            let mut buffers = FmBuffers::new(&csr);
+            let (mut fast, mut scan) = (start.clone(), start);
+            for _ in 0..4 {
+                let gain = fm_pass(&csr, &mut fast, hi0, hi1, &mut buffers);
+                prop_assert_eq!(gain, fm_pass_scan(&csr, &mut scan, hi0, hi1));
+                prop_assert_eq!(&fast, &scan);
+                if gain <= 0 {
+                    break;
+                }
+            }
         }
     }
 
