@@ -9,23 +9,22 @@
 
 use blockpart_bench::{generate_history, seed_from_env};
 use blockpart_core::experiments::{fig3_run, fig3_table};
-use blockpart_core::Method;
 use blockpart_types::ShardCount;
 
 fn main() {
     let chain = generate_history();
-    let result = fig3_run(&chain.log, seed_from_env());
+    let report = fig3_run(&chain.log, seed_from_env());
 
-    for method in [Method::Hash, Method::Metis] {
-        println!("\n## Fig. 3 — {method} at k = 2 (monthly means of 4-hour windows)\n");
-        let table = fig3_table(&result, method).expect("method was run");
+    for strategy in ["HASH", "METIS"] {
+        println!("\n## Fig. 3 — {strategy} at k = 2 (monthly means of 4-hour windows)\n");
+        let table = fig3_table(&report, strategy).expect("strategy was run");
         println!("{}", table.render_ascii());
     }
 
     if std::env::var("BLOCKPART_CSV").is_ok() {
-        for method in [Method::Hash, Method::Metis] {
-            let run = result.get(method, ShardCount::TWO).expect("ran");
-            println!("\n# {method} per-window CSV: start_secs,static_cut,dynamic_cut,static_bal,dynamic_bal,repartitioned,moves");
+        for strategy in ["HASH", "METIS"] {
+            let run = report.offline(strategy, ShardCount::TWO).expect("ran");
+            println!("\n# {strategy} per-window CSV: start_secs,static_cut,dynamic_cut,static_bal,dynamic_bal,repartitioned,moves");
             for w in &run.windows {
                 println!(
                     "{},{:.4},{:.4},{:.4},{:.4},{},{}",

@@ -5,21 +5,22 @@
 
 use blockpart_bench::{generate_history, seed_from_env};
 use blockpart_core::experiments::{fig4_cells, fig4_periods, fig4_table};
-use blockpart_core::{Method, Study};
+use blockpart_core::{Experiment, StrategyRegistry};
 use blockpart_metrics::ViolinDensity;
 use blockpart_types::ShardCount;
 
 fn main() {
     let chain = generate_history();
     let ks = [ShardCount::TWO, ShardCount::new(8).expect("8 > 0")];
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "all")
+        .expect("built-in strategies resolve")
         .shard_counts(ks.to_vec())
         .seed(seed_from_env())
         .run();
 
     let periods = fig4_periods();
-    let cells = fig4_cells(&result, &periods);
+    let cells = fig4_cells(&report, &periods);
     for k in ks {
         println!("\n## Fig. 4 — {k} (2017 periods, per-window dynamic metrics)\n");
         println!("{}", fig4_table(&cells, k).render_ascii());
@@ -31,9 +32,9 @@ fn main() {
         "## violin density (dynamic edge-cut, {}, k = 2)\n",
         periods[0].2
     );
-    for run in result.runs.iter().filter(|r| r.k == ShardCount::TWO) {
-        let cuts: Vec<f64> = run
-            .result
+    for run in report.runs.iter().filter(|r| r.k == ShardCount::TWO) {
+        let sim = run.offline.as_ref().expect("offline stage ran");
+        let cuts: Vec<f64> = sim
             .windows_in(periods[0].0, periods[0].1)
             .iter()
             .filter(|w| w.events > 0)
@@ -54,9 +55,7 @@ fn main() {
                 .collect();
             println!(
                 "{:<9} [{bars}]  ({:.2}..{:.2})",
-                run.method.label(),
-                v.grid[0],
-                v.grid[15]
+                run.strategy, v.grid[0], v.grid[15]
             );
         }
     }

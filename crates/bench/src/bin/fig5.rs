@@ -8,9 +8,21 @@
 //! far fewer.
 
 use blockpart_bench::{generate_history, seed_from_env};
-use blockpart_core::experiments::{fig5_rows, fig5_table};
-use blockpart_core::{Method, Study};
+use blockpart_core::{Experiment, StrategyRegistry};
+use blockpart_shard::SimulationResult;
 use blockpart_types::ShardCount;
+
+/// Mean dynamic edge-cut over the windows with traffic: the table's
+/// `dyn-edge-cut` column.
+fn mean_dynamic_cut(sim: &SimulationResult) -> f64 {
+    let active: Vec<f64> = sim
+        .windows
+        .iter()
+        .filter(|w| w.events > 0)
+        .map(|w| w.dynamic_edge_cut)
+        .collect();
+    active.iter().sum::<f64>() / active.len().max(1) as f64
+}
 
 fn main() {
     let chain = generate_history();
@@ -18,32 +30,32 @@ fn main() {
         .iter()
         .map(|&k| ShardCount::new(k).expect("non-zero"))
         .collect();
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "all")
+        .expect("built-in strategies resolve")
         .shard_counts(ks)
         .seed(seed_from_env())
         .run();
 
     println!("\n## Fig. 5 — methods vs shard count (full history)\n");
-    let rows = fig5_rows(&result);
-    println!("{}", fig5_table(&rows).render_ascii());
+    println!("{}", report.offline_table().render_ascii());
 
     // headline cross-checks (printed, not asserted: scales vary)
-    let cut = |m, k: u16| {
-        rows.iter()
-            .find(|r| r.method == m && r.k.get() == k)
-            .map(|r| r.dynamic_edge_cut)
+    let cut = |strategy: &str, k: u16| {
+        ShardCount::new(k)
+            .and_then(|k| report.offline(strategy, k))
+            .map(mean_dynamic_cut)
             .unwrap_or(f64::NAN)
     };
     println!(
         "hash cut growth with k : {:.2} -> {:.2} -> {:.2}",
-        cut(Method::Hash, 2),
-        cut(Method::Hash, 4),
-        cut(Method::Hash, 8)
+        cut("hash", 2),
+        cut("hash", 4),
+        cut("hash", 8)
     );
     println!(
         "metis advantage at k=2 : {:.2} vs hash {:.2}",
-        cut(Method::Metis, 2),
-        cut(Method::Hash, 2)
+        cut("metis", 2),
+        cut("hash", 2)
     );
 }

@@ -11,7 +11,7 @@
 //! throughput.
 
 use blockpart_bench::{generate_history, seed_from_env};
-use blockpart_core::{runtime_table, Method, RuntimeStudy};
+use blockpart_core::{Experiment, StrategyRegistry};
 use blockpart_types::ShardCount;
 
 fn main() {
@@ -20,40 +20,42 @@ fn main() {
         .iter()
         .map(|&k| ShardCount::new(k).expect("non-zero"))
         .collect();
-    let methods = vec![Method::Hash, Method::Metis, Method::TrMetis];
-    let result = RuntimeStudy::new(&chain)
-        .methods(methods)
+    let report = Experiment::over_chain(&chain)
+        .named_strategies(&StrategyRegistry::with_builtins(), "hash,metis,tr-metis")
+        .expect("built-in strategies resolve")
         .shard_counts(ks)
         .seed(seed_from_env())
+        .offline(false)
+        .replay(true)
         .run();
 
     println!("\n## Fig. 6 — execution cost vs shard count (2PC runtime)\n");
-    println!("{}", runtime_table(&result.runs).render_ascii());
+    println!("{}", report.runtime_table().render_ascii());
 
     // headline cross-checks (printed, not asserted: scales vary)
-    let cross = |m, k: u16| {
+    let cross = |strategy: &str, k: u16| {
         ShardCount::new(k)
-            .and_then(|k| result.get(m, k))
+            .and_then(|k| report.runtime(strategy, k))
             .map(|r| r.cross_shard_ratio)
             .unwrap_or(f64::NAN)
     };
-    let tps = |m, k: u16| {
+    let tps = |strategy: &str, k: u16| {
         ShardCount::new(k)
-            .and_then(|k| result.get(m, k))
+            .and_then(|k| report.runtime(strategy, k))
             .map(|r| r.throughput_tps)
             .unwrap_or(f64::NAN)
     };
     println!(
         "hash cross-ratio growth with k : {:.2} -> {:.2} -> {:.2}",
-        cross(Method::Hash, 2),
-        cross(Method::Hash, 4),
-        cross(Method::Hash, 8)
+        cross("hash", 2),
+        cross("hash", 4),
+        cross("hash", 8)
     );
     println!(
         "metis advantage at k=4        : cross {:.2} vs hash {:.2}, {:.0} vs {:.0} tx/s",
-        cross(Method::Metis, 4),
-        cross(Method::Hash, 4),
-        tps(Method::Metis, 4),
-        tps(Method::Hash, 4)
+        cross("metis", 4),
+        cross("hash", 4),
+        tps("metis", 4),
+        tps("hash", 4)
     );
 }

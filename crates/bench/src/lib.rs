@@ -1,5 +1,5 @@
-//! Shared scaffolding for the figure-regeneration binaries, the [`perf`]
-//! measurement harness and the criterion benchmarks.
+//! Shared scaffolding for the figure-regeneration binaries and the
+//! [`perf`] measurement harness.
 //!
 //! Each `fig*` binary regenerates one figure of the paper from a synthetic
 //! chain. All binaries honour two environment variables:
@@ -23,12 +23,13 @@ pub mod scenario_matrix;
 use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart_ethereum::SyntheticChain;
 
-/// Reads `BLOCKPART_SCALE` (default `0.0012`).
+/// Reads `BLOCKPART_SCALE` (default `0.0012`, also when the value is not a
+/// positive finite number).
 pub fn scale_from_env() -> f64 {
     std::env::var("BLOCKPART_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0.0)
+        .filter(|&s: &f64| s > 0.0 && s.is_finite())
         .unwrap_or(0.0012)
 }
 

@@ -8,10 +8,11 @@ use blockpart_partition::{
     CutMetrics, Fennel, HashPartitioner, LinearGreedy, MultilevelPartitioner, PartitionRequest,
     Partitioner,
 };
-use blockpart_shard::{PlacementRule, RepartitionPolicy, ShardSimulator, SimulationResult};
+use blockpart_shard::{PlacementRule, ShardSimulator, SimulationResult};
 use blockpart_types::{Duration, ShardCount};
 
 use crate::methods::Method;
+use crate::strategy::{CanonicalStrategy, StrategySpec};
 
 /// Result of one ablation run.
 #[derive(Clone, Debug)]
@@ -64,8 +65,9 @@ pub fn placement_ablation(log: &InteractionLog, k: ShardCount, seed: u64) -> Vec
     [PlacementRule::Hash, PlacementRule::MinCut]
         .into_iter()
         .map(|rule| {
-            let config = Method::Metis.simulator_config(k).with_placement(rule);
-            let mut sim = ShardSimulator::new(config, Method::Metis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::Metis);
+            let config = spec.simulator_config(k).with_placement(rule);
+            let mut sim = ShardSimulator::new(config, spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("{rule:?}"), &result)
         })
@@ -83,8 +85,9 @@ pub fn scope_window_ablation(
     windows
         .iter()
         .map(|&w| {
-            let config = Method::RMetis.simulator_config(k).with_scope_window(w);
-            let mut sim = ShardSimulator::new(config, Method::RMetis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::RMetis).with_scope_window(w);
+            let mut sim =
+                ShardSimulator::new(spec.simulator_config(k), spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("window={}d", w.as_days_f64()), &result)
         })
@@ -103,15 +106,9 @@ pub fn threshold_ablation(
     thresholds
         .iter()
         .map(|&(edge_cut, balance)| {
-            let config =
-                Method::TrMetis
-                    .simulator_config(k)
-                    .with_policy(RepartitionPolicy::Threshold {
-                        edge_cut,
-                        balance,
-                        min_interval: Duration::weeks(2),
-                    });
-            let mut sim = ShardSimulator::new(config, Method::TrMetis.partitioner(seed));
+            let spec = CanonicalStrategy::new(Method::TrMetis).with_thresholds(edge_cut, balance);
+            let mut sim =
+                ShardSimulator::new(spec.simulator_config(k), spec.build_partitioner(seed));
             let result = sim.run(log);
             AblationRun::from_result(format!("cut>{edge_cut}|bal>{balance}"), &result)
         })

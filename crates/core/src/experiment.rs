@@ -1,9 +1,8 @@
 //! The unified experiment pipeline: workload → windowing → strategies ×
 //! shard counts → offline simulation and/or 2PC runtime replay.
 //!
-//! [`Experiment`] collapses the two historical one-shot drivers
-//! ([`Study`](crate::Study) and [`RuntimeStudy`](crate::RuntimeStudy),
-//! both now thin shims over this type) into one builder:
+//! [`Experiment`] is the one builder behind every study, figure and
+//! CLI command:
 //!
 //! 1. **Workload source** — a pre-built [`SyntheticChain`], a bare
 //!    [`InteractionLog`], or a [`GeneratorConfig`] the pipeline
@@ -329,9 +328,9 @@ fn next_task(local: &Worker<usize>, stealers: &[Stealer<usize>], me: usize) -> O
 }
 
 /// Mean per-window dynamic edge-cut and balance over active windows —
-/// the aggregation behind both this report's offline table and the
-/// Fig. 5 rows in [`crate::experiments`].
-pub(crate) fn mean_window_metrics(sim: &SimulationResult) -> (f64, f64) {
+/// the aggregation behind the offline table (the Fig. 5 columns) and
+/// the report JSON.
+fn mean_window_metrics(sim: &SimulationResult) -> (f64, f64) {
     let active: Vec<_> = sim.windows.iter().filter(|w| w.events > 0).collect();
     let n = active.len().max(1) as f64;
     (
@@ -342,7 +341,7 @@ pub(crate) fn mean_window_metrics(sim: &SimulationResult) -> (f64, f64) {
 
 /// Normalizes a mean dynamic balance as `(b − 1)/(k − 1)` so different
 /// shard counts are comparable (the paper's Fig. 5 y-axis).
-pub(crate) fn normalized_balance(mean_balance: f64, k: usize) -> f64 {
+fn normalized_balance(mean_balance: f64, k: usize) -> f64 {
     if k <= 1 {
         0.0
     } else {

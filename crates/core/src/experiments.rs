@@ -6,7 +6,7 @@
 //! | Fig. 2 | [`fig2_dot`] | an account/contract subgraph in DOT |
 //! | Fig. 3 | [`fig3_run`] | hash & METIS per-window series at k=2 |
 //! | Fig. 4 | [`fig4_cells`] | box/violin stats per method, k and 2017 period |
-//! | Fig. 5 | [`fig5_rows`] | per-method aggregates vs shard count |
+//! | Fig. 5 | [`ExperimentReport::offline_table`] | per-method aggregates vs shard count |
 
 use std::collections::HashSet;
 
@@ -15,8 +15,8 @@ use blockpart_metrics::calendar::{label_of, month_index, month_start};
 use blockpart_metrics::{FiveNumber, Table};
 use blockpart_types::{Address, ShardCount, Timestamp};
 
-use crate::methods::Method;
-use crate::study::{Study, StudyResult};
+use crate::experiment::{Experiment, ExperimentReport};
+use crate::strategy::StrategyRegistry;
 
 /// One monthly sample of Fig. 1's growth curves.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,19 +141,21 @@ pub fn fig2_dot(
 }
 
 /// Runs the Fig. 3 configuration: HASH and METIS at two shards, returning
-/// the full study result (per-window series for both methods).
-pub fn fig3_run(log: &InteractionLog, seed: u64) -> StudyResult {
-    Study::new(log)
-        .methods(vec![Method::Hash, Method::Metis])
+/// the full report (per-window series for both strategies).
+pub fn fig3_run(log: &InteractionLog, seed: u64) -> ExperimentReport {
+    Experiment::over_log(log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "hash,metis")
+        .expect("built-in strategies resolve")
         .shard_counts(vec![ShardCount::TWO])
         .seed(seed)
         .run()
 }
 
-/// Renders one method's Fig. 3 series as a monthly-aggregated table
+/// Renders one strategy's Fig. 3 series as a monthly-aggregated table
 /// (means of the 4-hour samples per month, repartition count).
-pub fn fig3_table(result: &StudyResult, method: Method) -> Option<Table> {
-    let run = result.get(method, ShardCount::TWO)?;
+/// `strategy` is looked up as by [`ExperimentReport::offline`].
+pub fn fig3_table(report: &ExperimentReport, strategy: &str) -> Option<Table> {
+    let run = report.offline(strategy, ShardCount::TWO)?;
     let mut t = Table::new(vec![
         "month",
         "static-cut",
@@ -196,8 +198,8 @@ pub fn fig3_table(result: &StudyResult, method: Method) -> Option<Table> {
 /// 2017 period.
 #[derive(Clone, Debug)]
 pub struct Fig4Cell {
-    /// The method.
-    pub method: Method,
+    /// The strategy's display name.
+    pub method: String,
     /// The shard count.
     pub k: ShardCount,
     /// The period's label (`01.17 - 06.17` …).
@@ -228,18 +230,19 @@ pub fn fig4_periods() -> Vec<(Timestamp, Timestamp, String)> {
     vec![p(17, 22), p(22, 25), p(25, 28), p(28, 29)]
 }
 
-/// Computes every Fig. 4 box from a study result.
+/// Computes every Fig. 4 box from a report's offline runs.
 ///
 /// Windows with no events are excluded from the distributions (the paper's
 /// samples are 4-hour windows with traffic).
 pub fn fig4_cells(
-    result: &StudyResult,
+    report: &ExperimentReport,
     periods: &[(Timestamp, Timestamp, String)],
 ) -> Vec<Fig4Cell> {
     let mut cells = Vec::new();
-    for run in &result.runs {
+    for run in &report.runs {
+        let Some(sim) = &run.offline else { continue };
         for (start, end, label) in periods {
-            let windows = run.result.windows_in(*start, *end);
+            let windows = sim.windows_in(*start, *end);
             let cuts: Vec<f64> = windows
                 .iter()
                 .filter(|w| w.events > 0)
@@ -256,12 +259,12 @@ pub fn fig4_cells(
                 continue;
             };
             cells.push(Fig4Cell {
-                method: run.method,
+                method: run.strategy.clone(),
                 k: run.k,
                 period: label.clone(),
                 edge_cut,
                 balance,
-                moves: run.result.moves_in(*start, *end),
+                moves: sim.moves_in(*start, *end),
             });
         }
     }
@@ -276,7 +279,7 @@ pub fn fig4_table(cells: &[Fig4Cell], k: ShardCount) -> Table {
     for c in cells.iter().filter(|c| c.k == k) {
         t.row(vec![
             c.period.clone(),
-            c.method.label().to_string(),
+            c.method.clone(),
             format!("{:.3}", c.edge_cut.q1),
             format!("{:.3}", c.edge_cut.median),
             format!("{:.3}", c.edge_cut.q3),
@@ -284,71 +287,6 @@ pub fn fig4_table(cells: &[Fig4Cell], k: ShardCount) -> Table {
             format!("{:.3}", c.balance.median),
             format!("{:.3}", c.balance.q3),
             c.moves.to_string(),
-        ]);
-    }
-    t
-}
-
-/// One point series of Fig. 5: a method at a shard count over the whole
-/// history.
-#[derive(Clone, Debug)]
-pub struct Fig5Row {
-    /// The method.
-    pub method: Method,
-    /// The shard count.
-    pub k: ShardCount,
-    /// Mean per-window dynamic edge-cut over the full run.
-    pub dynamic_edge_cut: f64,
-    /// Mean per-window dynamic balance, normalized as `(b − 1)/(k − 1)`
-    /// so different `k` are comparable (the paper's Fig. 5 y-axis).
-    pub normalized_balance: f64,
-    /// Total vertex moves over the full run.
-    pub moves: u64,
-    /// Number of repartitions.
-    pub repartitions: usize,
-}
-
-/// Computes the Fig. 5 aggregates from a (typically all-methods ×
-/// {2,4,8}) study result.
-pub fn fig5_rows(result: &StudyResult) -> Vec<Fig5Row> {
-    result
-        .runs
-        .iter()
-        .map(|run| {
-            let (mean_cut, mean_bal) = crate::experiment::mean_window_metrics(&run.result);
-            Fig5Row {
-                method: run.method,
-                k: run.k,
-                dynamic_edge_cut: mean_cut,
-                normalized_balance: crate::experiment::normalized_balance(
-                    mean_bal,
-                    run.k.as_usize(),
-                ),
-                moves: run.result.total_moves,
-                repartitions: run.result.repartitions,
-            }
-        })
-        .collect()
-}
-
-/// Renders Fig. 5 rows as a table.
-pub fn fig5_table(rows: &[Fig5Row]) -> Table {
-    let mut t = Table::new(vec![
-        "method",
-        "k",
-        "dyn-edge-cut",
-        "norm-dyn-balance",
-        "moves",
-        "reparts",
-    ]);
-    for r in rows {
-        t.row(vec![
-            r.method.label().to_string(),
-            r.k.get().to_string(),
-            format!("{:.3}", r.dynamic_edge_cut),
-            format!("{:.3}", r.normalized_balance),
-            r.moves.to_string(),
-            r.repartitions.to_string(),
         ]);
     }
     t
@@ -415,11 +353,11 @@ mod tests {
     #[test]
     fn fig3_produces_both_series() {
         let log = tiny_log(20);
-        let result = fig3_run(&log, 1);
-        assert!(fig3_table(&result, Method::Hash).is_some());
-        let metis = fig3_table(&result, Method::Metis).unwrap();
+        let report = fig3_run(&log, 1);
+        assert!(fig3_table(&report, "hash").is_some());
+        let metis = fig3_table(&report, "metis").unwrap();
         assert!(!metis.is_empty());
-        assert!(fig3_table(&result, Method::Kl).is_none()); // not in the run
+        assert!(fig3_table(&report, "kl").is_none()); // not in the run
     }
 
     #[test]
@@ -433,8 +371,9 @@ mod tests {
     #[test]
     fn fig4_cells_cover_active_periods() {
         let log = tiny_log(30);
-        let result = Study::new(&log)
-            .methods(vec![Method::Hash])
+        let report = Experiment::over_log(&log)
+            .named_strategies(&StrategyRegistry::with_builtins(), "hash")
+            .unwrap()
             .shard_counts(vec![ShardCount::TWO])
             .run();
         // the tiny log lives in month 0, so use a matching period
@@ -443,29 +382,10 @@ mod tests {
             Timestamp::from_secs(40 * 86_400),
             "test".to_string(),
         )];
-        let cells = fig4_cells(&result, &periods);
+        let cells = fig4_cells(&report, &periods);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].edge_cut.max <= 1.0);
         let table = fig4_table(&cells, ShardCount::TWO);
         assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn fig5_rows_aggregate_all_runs() {
-        let log = tiny_log(20);
-        let result = Study::new(&log)
-            .methods(vec![Method::Hash, Method::Metis])
-            .shard_counts(vec![ShardCount::TWO, ShardCount::new(4).unwrap()])
-            .run();
-        let rows = fig5_rows(&result);
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!(r.dynamic_edge_cut >= 0.0 && r.dynamic_edge_cut <= 1.0);
-            assert!(r.normalized_balance >= 0.0);
-        }
-        let hash_row = rows.iter().find(|r| r.method == Method::Hash).unwrap();
-        assert_eq!(hash_row.moves, 0);
-        let table = fig5_table(&rows);
-        assert_eq!(table.len(), 4);
     }
 }

@@ -14,25 +14,24 @@
 //!   2PC runtime replay, collected in an [`ExperimentReport`] that
 //!   renders as tables or serializes to JSON;
 //! * [`experiments`] — one function per paper figure, each returning
-//!   renderable tables/series;
-//! * [`Method`], [`Study`], [`RuntimeStudy`] — the closed predecessors,
-//!   kept as thin shims over the registry and pipeline so existing call
-//!   sites keep working and produce identical numbers.
+//!   renderable tables/series.
 //!
 //! # Examples
 //!
 //! ```
-//! use blockpart_core::{Method, Study};
+//! use blockpart_core::{Experiment, StrategyRegistry};
 //! use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
 //! use blockpart_types::ShardCount;
 //!
 //! let chain = ChainGenerator::new(GeneratorConfig::test_scale(5)).generate();
-//! let result = Study::new(&chain.log)
-//!     .methods(vec![Method::Hash, Method::Metis])
+//! let report = Experiment::over_log(&chain.log)
+//!     .named_strategies(&StrategyRegistry::with_builtins(), "hash,metis")
+//!     .unwrap()
 //!     .shard_counts(vec![ShardCount::TWO])
 //!     .run();
-//! let hash = result.get(Method::Hash, ShardCount::TWO).unwrap();
+//! let hash = report.offline("hash", ShardCount::TWO).unwrap();
 //! assert_eq!(hash.total_moves, 0);
+//! assert_eq!(report.offline_table().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,21 +43,16 @@ mod experiment;
 pub mod experiments;
 mod methods;
 mod profile;
-mod runtime_study;
 mod scenario;
 mod strategy;
-mod study;
 
 pub use engine::{EngineFactory, EngineRegistry};
 pub use experiment::{Experiment, ExperimentReport, ExperimentRun};
-pub use methods::Method;
 pub use profile::{run_profile, ProfileReport};
-pub use runtime_study::{runtime_table, RuntimeRun, RuntimeStudy, RuntimeStudyResult};
 pub use scenario::{ComposedScenario, ScenarioFactory, ScenarioRegistry, ScenarioSpec};
 pub use strategy::{
-    CanonicalStrategy, ResolvedStrategy, StrategyError, StrategyFactory, StrategyParams,
-    StrategyRegistry, StrategySpec, StreamingStrategy,
+    ResolvedStrategy, StrategyError, StrategyFactory, StrategyParams, StrategyRegistry,
+    StrategySpec, StreamingStrategy,
 };
-pub use study::{MethodRun, Study, StudyResult};
 
 pub use blockpart_types::{Duration, ShardCount, Timestamp};

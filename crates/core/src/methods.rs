@@ -1,36 +1,18 @@
-//! The five paper methods as a closed enum — now a thin compatibility
-//! alias over the open strategy API in [`crate::strategy`].
+//! The five paper methods as a closed enum: the keys of the registry's
+//! canonical built-ins in [`crate::strategy`].
 
-use blockpart_partition::Partitioner;
-use blockpart_shard::SimulatorConfig;
-use blockpart_types::ShardCount;
 use serde::{Deserialize, Serialize};
-
-use crate::strategy::{canonical_partitioner, canonical_simulator_config};
 
 /// One of the paper's five partitioning methods (§II-C).
 ///
 /// The paper's Fig. 4 labels R-METIS as "P-METIS"; they are the same
 /// method and [`Method::RMetis`] renders as `R-METIS`.
 ///
-/// **Deprecated as an extension point:** this enum is closed; new code
-/// should resolve strategies through
-/// [`StrategyRegistry`](crate::StrategyRegistry) and run them with
-/// [`Experiment`](crate::Experiment), which accept user-registered and
-/// parameterized strategies. `Method` remains for existing call sites and
-/// delegates its configurations to the registry's canonical built-ins, so
-/// both paths produce identical results.
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_core::Method;
-///
-/// assert_eq!(Method::TrMetis.label(), "TR-METIS");
-/// assert_eq!(Method::ALL.len(), 5);
-/// ```
+/// Outside this crate a method is named by its registry spec string
+/// (`"hash"`, `"r-metis[window=7]"`, …); see
+/// [`StrategyRegistry`](crate::StrategyRegistry).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Method {
+pub(crate) enum Method {
     /// `hash(id) mod k`: perfect static balance, no moves, heavy cut.
     Hash,
     /// Distributed Kernighan–Lin with an oracle probability matrix.
@@ -45,7 +27,7 @@ pub enum Method {
 
 impl Method {
     /// All methods in the paper's presentation order.
-    pub const ALL: [Method; 5] = [
+    pub(crate) const ALL: [Method; 5] = [
         Method::Hash,
         Method::Kl,
         Method::Metis,
@@ -54,7 +36,7 @@ impl Method {
     ];
 
     /// The display label used in tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Method::Hash => "HASH",
             Method::Kl => "KL",
@@ -62,25 +44,6 @@ impl Method {
             Method::RMetis => "R-METIS",
             Method::TrMetis => "TR-METIS",
         }
-    }
-
-    /// The canonical simulator configuration for this method at `k`
-    /// shards: placement rule, repartition policy and scope per the
-    /// paper's description (4-hour windows, two-week periods).
-    ///
-    /// Delegates to the canonical strategy spec the registry ships for
-    /// this method.
-    pub fn simulator_config(self, k: ShardCount) -> SimulatorConfig {
-        canonical_simulator_config(self, k)
-    }
-
-    /// Constructs the partitioner backing this method, seeded for
-    /// reproducibility.
-    ///
-    /// Delegates to the canonical strategy spec the registry ships for
-    /// this method.
-    pub fn partitioner(self, seed: u64) -> Box<dyn Partitioner> {
-        canonical_partitioner(self, seed)
     }
 }
 
@@ -93,7 +56,13 @@ impl std::fmt::Display for Method {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockpart_shard::{PlacementRule, RepartitionPolicy, RepartitionScope};
+    use crate::strategy::{CanonicalStrategy, StrategySpec};
+    use blockpart_shard::{PlacementRule, RepartitionPolicy, RepartitionScope, SimulatorConfig};
+    use blockpart_types::ShardCount;
+
+    fn config(m: Method) -> SimulatorConfig {
+        CanonicalStrategy::new(m).simulator_config(ShardCount::TWO)
+    }
 
     #[test]
     fn labels_are_unique() {
@@ -103,7 +72,7 @@ mod tests {
 
     #[test]
     fn hash_never_repartitions() {
-        let cfg = Method::Hash.simulator_config(ShardCount::TWO);
+        let cfg = config(Method::Hash);
         assert_eq!(cfg.policy, RepartitionPolicy::Never);
         assert_eq!(cfg.placement, PlacementRule::Hash);
     }
@@ -111,33 +80,26 @@ mod tests {
     #[test]
     fn metis_family_uses_min_cut_placement() {
         for m in [Method::Metis, Method::RMetis, Method::TrMetis] {
-            assert_eq!(
-                m.simulator_config(ShardCount::TWO).placement,
-                PlacementRule::MinCut,
-                "{m}"
-            );
+            assert_eq!(config(m).placement, PlacementRule::MinCut, "{m}");
         }
     }
 
     #[test]
     fn reduced_scope_for_r_and_tr() {
-        assert_eq!(
-            Method::Metis.simulator_config(ShardCount::TWO).scope,
-            RepartitionScope::Full
-        );
+        assert_eq!(config(Method::Metis).scope, RepartitionScope::Full);
         for m in [Method::RMetis, Method::TrMetis] {
-            assert_eq!(
-                m.simulator_config(ShardCount::TWO).scope,
-                RepartitionScope::Window,
-                "{m}"
-            );
+            assert_eq!(config(m).scope, RepartitionScope::Window, "{m}");
         }
     }
 
     #[test]
     fn partitioner_names() {
-        assert_eq!(Method::Hash.partitioner(0).name(), "hash");
-        assert_eq!(Method::Kl.partitioner(0).name(), "kl");
-        assert_eq!(Method::Metis.partitioner(0).name(), "metis");
+        for (m, name) in [
+            (Method::Hash, "hash"),
+            (Method::Kl, "kl"),
+            (Method::Metis, "metis"),
+        ] {
+            assert_eq!(CanonicalStrategy::new(m).build_partitioner(0).name(), name);
+        }
     }
 }

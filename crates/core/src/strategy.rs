@@ -157,23 +157,10 @@ pub(crate) fn canonical_partitioner(method: Method, seed: u64) -> Box<dyn Partit
 }
 
 /// One of the paper's five methods as a [`StrategySpec`], optionally
-/// tuned: the registry's parameterized built-ins (`r-metis[window=7]`,
+/// tuned: the registry's built-ins (`hash`, `r-metis[window=7]`,
 /// `tr-metis[cut=0.4;balance=1.8]`, …) are instances of this type.
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_core::{CanonicalStrategy, Method, StrategySpec};
-/// use blockpart_types::{Duration, ShardCount};
-///
-/// let spec = CanonicalStrategy::new(Method::RMetis).with_scope_window(Duration::weeks(1));
-/// assert_eq!(
-///     spec.simulator_config(ShardCount::TWO).scope_window,
-///     Duration::weeks(1)
-/// );
-/// ```
 #[derive(Clone, Debug)]
-pub struct CanonicalStrategy {
+pub(crate) struct CanonicalStrategy {
     method: Method,
     label: String,
     scope_window: Option<Duration>,
@@ -183,7 +170,7 @@ pub struct CanonicalStrategy {
 
 impl CanonicalStrategy {
     /// The untuned canonical strategy for `method`.
-    pub fn new(method: Method) -> Self {
+    pub(crate) fn new(method: Method) -> Self {
         CanonicalStrategy {
             method,
             label: method.label().to_string(),
@@ -193,34 +180,29 @@ impl CanonicalStrategy {
         }
     }
 
-    /// The underlying paper method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// Overrides the reduced-graph window length.
-    pub fn with_scope_window(mut self, window: Duration) -> Self {
+    pub(crate) fn with_scope_window(mut self, window: Duration) -> Self {
         self.scope_window = Some(window);
         self
     }
 
     /// Overrides the repartition cadence (`Periodic` interval or
     /// `Threshold` refractory period; ignored by `Never`).
-    pub fn with_interval(mut self, interval: Duration) -> Self {
+    pub(crate) fn with_interval(mut self, interval: Duration) -> Self {
         self.interval = Some(interval);
         self
     }
 
     /// Overrides the `(edge_cut, balance)` trigger thresholds (only
     /// meaningful for TR-METIS).
-    pub fn with_thresholds(mut self, edge_cut: f64, balance: f64) -> Self {
+    pub(crate) fn with_thresholds(mut self, edge_cut: f64, balance: f64) -> Self {
         self.thresholds = Some((edge_cut, balance));
         self
     }
 
     /// Replaces the display label (parameterized variants append their
     /// parameters so tables distinguish them).
-    pub fn with_label(mut self, label: String) -> Self {
+    pub(crate) fn with_label(mut self, label: String) -> Self {
         self.label = label;
         self
     }
@@ -505,8 +487,8 @@ struct Entry {
     kind: EntryKind,
 }
 
-/// Name → strategy resolution, the open successor of the closed
-/// [`Method`] enum.
+/// Name → strategy resolution: the one public way to name a strategy,
+/// the paper's five built-ins and user registrations alike.
 ///
 /// Lookup is case-insensitive and ignores `-`/`_` (so `r-metis`,
 /// `rmetis` and `R_METIS` all resolve the same entry; the paper's
@@ -924,27 +906,6 @@ mod tests {
             assert_eq!(reg.resolve(name).unwrap().name(), "R-METIS", "{name}");
         }
         assert_eq!(reg.resolve("pmetis").unwrap().name(), "R-METIS");
-    }
-
-    #[test]
-    fn canonical_specs_match_method_configs() {
-        let reg = StrategyRegistry::with_builtins();
-        for m in Method::ALL {
-            let spec = reg.resolve(m.label()).unwrap();
-            for k in [ShardCount::TWO, ShardCount::new(8).unwrap()] {
-                let a = spec.simulator_config(k);
-                let b = m.simulator_config(k);
-                assert_eq!(a.placement, b.placement, "{m}");
-                assert_eq!(a.policy, b.policy, "{m}");
-                assert_eq!(a.scope, b.scope, "{m}");
-                assert_eq!(a.scope_window, b.scope_window, "{m}");
-            }
-            assert_eq!(
-                spec.build_partitioner(3).name(),
-                m.partitioner(3).name(),
-                "{m}"
-            );
-        }
     }
 
     #[test]

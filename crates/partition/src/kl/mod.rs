@@ -1,16 +1,13 @@
-//! Kernighan–Lin partitioning: the classic 1970 bisection heuristic and the
-//! distributed shard/oracle variant evaluated by the paper.
+//! Kernighan–Lin partitioning: the distributed shard/oracle variant
+//! evaluated by the paper.
 //!
 //! The paper's "KL" method (§II-C) is not the textbook algorithm run
 //! centrally: each shard locally selects vertices whose move would reduce
 //! edge-cut, an *oracle* gathers the proposals and computes a k×k
 //! probability matrix that keeps shards balanced, and shards then exchange
 //! vertices according to that matrix. [`DistributedKl`] implements exactly
-//! that loop; [`kl_bisection_pass`] provides the textbook bisection pass, which is
-//! also reused as an alternative refinement step in ablation benchmarks.
+//! that loop.
 
-mod classic;
 mod distributed;
 
-pub use classic::{kl_bisection_pass, refine_bisection};
 pub use distributed::{DistributedKl, DistributedKlConfig};

@@ -3,10 +3,10 @@
 //! Implements the five methods evaluated by Fynn & Pedone (DSN 2018):
 //!
 //! * [`HashPartitioner`] — `hash(vertex id) mod k`;
-//! * [`kl`] — the classic Kernighan–Lin bisection heuristic and the paper's
-//!   *distributed* KL variant ([`DistributedKl`]) in which shards propose
-//!   gain-positive vertices and an oracle computes a k×k move-probability
-//!   matrix that keeps shards balanced;
+//! * [`kl`] — the paper's *distributed* Kernighan–Lin variant
+//!   ([`DistributedKl`]) in which shards propose gain-positive vertices
+//!   and an oracle computes a k×k move-probability matrix that keeps
+//!   shards balanced;
 //! * [`MultilevelPartitioner`] — a from-scratch METIS-style multilevel
 //!   k-way partitioner (heavy-edge matching coarsening, greedy-graph-growing
 //!   recursive bisection, Fiduccia–Mattheyses boundary refinement). The

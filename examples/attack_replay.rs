@@ -9,7 +9,7 @@
 //! cargo run --release --example attack_replay
 //! ```
 
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, Era, EraTimeline, GeneratorConfig, TxMix};
 use blockpart::metrics::Table;
 use blockpart::types::{Duration, ShardCount, Timestamp, Wei};
@@ -54,9 +54,11 @@ fn main() {
     let chain = ChainGenerator::new(config).generate();
     println!("  {} interactions\n", chain.log.len());
 
-    let result = Study::new(&chain.log)
-        .methods(vec![Method::Metis, Method::RMetis])
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "metis,r-metis")
+        .expect("built-in strategies resolve")
         .shard_counts(vec![ShardCount::TWO])
+        .seed(0x5755_4459)
         .run();
 
     let mut table = Table::new(vec![
@@ -65,8 +67,8 @@ fn main() {
         "R-METIS dyn-balance",
         "METIS static-balance",
     ]);
-    let metis = result.get(Method::Metis, ShardCount::TWO).expect("ran");
-    let rmetis = result.get(Method::RMetis, ShardCount::TWO).expect("ran");
+    let metis = report.offline("metis", ShardCount::TWO).expect("ran");
+    let rmetis = report.offline("r-metis", ShardCount::TWO).expect("ran");
     for week in 0..8u64 {
         let (lo, hi) = (day(week * 7), day((week + 1) * 7));
         let mean = |r: &blockpart::shard::SimulationResult,

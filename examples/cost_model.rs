@@ -7,7 +7,7 @@
 //! cargo run --release --example cost_model
 //! ```
 
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::metrics::Table;
 use blockpart::shard::{CostModel, CrossShardMode};
@@ -18,15 +18,17 @@ fn main() {
     println!("{} interactions\n", chain.log.len());
 
     let k = ShardCount::new(4).expect("4 > 0");
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    let report = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "all")
+        .expect("built-in strategies resolve")
         .shard_counts(vec![k])
+        .seed(0x5755_4459)
         .run();
 
     // capacity chosen so an unsharded machine is saturated: speedup > 1
     // means sharding paid off
     let mean_events = {
-        let r = result.get(Method::Hash, k).expect("ran");
+        let r = report.offline("hash", k).expect("ran");
         let active: Vec<_> = r.windows.iter().filter(|w| w.events > 0).collect();
         active.iter().map(|w| w.events).sum::<usize>() as f64 / active.len().max(1) as f64
     };
@@ -51,17 +53,17 @@ fn main() {
         "speedup (coordinate)",
         "speedup (relocate)",
     ]);
-    for run in &result.runs {
-        let tc = coordinate.run_summary(&run.result, k.as_usize());
-        let tr = relocate.run_summary(&run.result, k.as_usize());
-        let cut = run
-            .result
+    for run in &report.runs {
+        let sim = run.offline.as_ref().expect("offline stage ran");
+        let tc = coordinate.run_summary(sim, k.as_usize());
+        let tr = relocate.run_summary(sim, k.as_usize());
+        let cut = sim
             .windows
             .last()
             .map(|w| w.cumulative_dynamic_edge_cut)
             .unwrap_or(0.0);
         table.row(vec![
-            run.method.label().to_string(),
+            run.strategy.clone(),
             format!("{cut:.3}"),
             format!("{:.2}x", tc.speedup),
             format!("{:.2}x", tr.speedup),

@@ -364,7 +364,7 @@ fn scale_of(opts: &HashMap<String, String>) -> Result<f64, String> {
         Some(s) => s
             .parse::<f64>()
             .ok()
-            .filter(|&v| v > 0.0)
+            .filter(|&v| v > 0.0 && v.is_finite())
             .ok_or_else(|| format!("invalid --scale `{s}`")),
     }
 }
@@ -753,7 +753,10 @@ fn cmd_live(
     if window_hours == 0 {
         return Err("--window-hours must be positive".into());
     }
-    let window = Duration::hours(window_hours);
+    let window = window_hours
+        .checked_mul(3_600)
+        .map(Duration::from_secs)
+        .ok_or_else(|| format!("invalid --window-hours `{window_hours}`"))?;
     let seed = seed_of(opts)?;
     let latency_us = micros_of(opts, "latency-us", 1_000)?;
     let arrival_us = micros_of(opts, "arrival-us", 500)?;
@@ -911,6 +914,33 @@ mod tests {
         assert_eq!(seed_of(&o).unwrap(), 42);
         assert!(scale_of(&opts(&[("scale", "-1")])).is_err());
         assert!(seed_of(&opts(&[("seed", "x")])).is_err());
+        // a non-finite scale would overflow the generator's allocations
+        for bad in ["inf", "-inf", "NaN"] {
+            let err = scale_of(&opts(&[("scale", bad)])).unwrap_err();
+            assert_eq!(err, format!("invalid --scale `{bad}`"));
+        }
+    }
+
+    #[test]
+    fn window_hours_must_fit_in_seconds() {
+        let registry = StrategyRegistry::with_builtins();
+        let scenarios = ScenarioRegistry::with_builtins();
+        let engines = EngineRegistry::with_builtins();
+        let live = |hours: &str| {
+            let args: Vec<String> = ["live", "--window-hours", hours]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            run(&registry, &scenarios, &engines, &args).unwrap_err()
+        };
+        let max = u64::MAX.to_string();
+        assert_eq!(live(&max), format!("invalid --window-hours `{max}`"));
+        let first_overflow = (u64::MAX / 3_600 + 1).to_string();
+        assert_eq!(
+            live(&first_overflow),
+            format!("invalid --window-hours `{first_overflow}`")
+        );
+        assert_eq!(live("0"), "--window-hours must be positive");
     }
 
     #[test]

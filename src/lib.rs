@@ -10,8 +10,8 @@
 //!
 //! * [`types`] — newtypes (addresses, shards, time, gas);
 //! * [`graph`] — the interaction graph, CSR views, windows, algorithms;
-//! * [`partition`] — hashing, Kernighan–Lin (classic + distributed),
-//!   multilevel METIS-style k-way partitioning;
+//! * [`partition`] — hashing, distributed Kernighan–Lin, multilevel
+//!   METIS-style k-way partitioning;
 //! * [`ethereum`] — a synthetic chain substrate: EVM-lite, contracts,
 //!   blocks and the era-driven workload generator;
 //! * [`shard`] — the sharding simulator (placement, repartition policies,
@@ -37,7 +37,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use blockpart::core::{Method, Study};
+//! use blockpart::core::{Experiment, StrategyRegistry};
 //! use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 //! use blockpart::types::ShardCount;
 //!
@@ -45,16 +45,18 @@
 //! //    full 30-month timeline)
 //! let chain = ChainGenerator::new(GeneratorConfig::test_scale(7)).generate();
 //!
-//! // 2. shard it two ways
-//! let result = Study::new(&chain.log)
-//!     .methods(vec![Method::Hash, Method::Metis])
+//! // 2. shard it two ways — strategies resolve by name through the registry
+//! let registry = StrategyRegistry::with_builtins();
+//! let report = Experiment::over_chain(&chain)
+//!     .named_strategies(&registry, "hash,metis")
+//!     .unwrap()
 //!     .shard_counts(vec![ShardCount::TWO])
 //!     .run();
 //!
 //! // 3. the paper's headline: hashing never moves state but cuts many
 //! //    edges; METIS cuts few edges but moves a lot of state
-//! let hash = result.get(Method::Hash, ShardCount::TWO).unwrap();
-//! let metis = result.get(Method::Metis, ShardCount::TWO).unwrap();
+//! let hash = report.offline("hash", ShardCount::TWO).unwrap();
+//! let metis = report.offline("metis", ShardCount::TWO).unwrap();
 //! assert_eq!(hash.total_moves, 0);
 //! assert!(metis.total_moves > 0);
 //! ```

@@ -1,22 +1,34 @@
 //! End-to-end integration: synthesize a chain, run all five methods, and
 //! assert the paper's qualitative results hold on the synthetic workload.
 
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
+use blockpart::ethereum::SyntheticChain;
+use blockpart::shard::SimulationResult;
 use blockpart::types::ShardCount;
 
 fn k(n: u16) -> ShardCount {
     ShardCount::new(n).expect("non-zero")
 }
 
+/// An offline experiment over `chain`'s log with the named strategies.
+fn study<'a>(chain: &'a SyntheticChain, specs: &str) -> Experiment<'a> {
+    Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), specs)
+        .expect("built-in strategies resolve")
+}
+
 /// One shared study over a 14-day test history, all methods, k ∈ {2, 8}.
-fn run_study(seed: u64) -> blockpart::core::StudyResult {
+fn run_study(seed: u64) -> ExperimentReport {
     let chain = ChainGenerator::new(GeneratorConfig::test_scale(seed)).generate();
-    Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    study(&chain, "all")
         .shard_counts(vec![k(2), k(8)])
         .seed(seed)
         .run()
+}
+
+fn get<'r>(report: &'r ExperimentReport, strategy: &str, k: ShardCount) -> &'r SimulationResult {
+    report.offline(strategy, k).expect("ran")
 }
 
 #[test]
@@ -25,7 +37,7 @@ fn paper_shapes_hold_end_to_end() {
 
     // --- hashing: zero moves, near-perfect static balance -----------------
     for kk in [k(2), k(8)] {
-        let hash = result.get(Method::Hash, kk).expect("ran");
+        let hash = get(&result, "HASH", kk);
         assert_eq!(hash.total_moves, 0, "hashing never moves vertices");
         assert_eq!(hash.repartitions, 0);
         let last = hash.windows.last().expect("windows");
@@ -37,9 +49,9 @@ fn paper_shapes_hold_end_to_end() {
     }
 
     // --- hashing edge-cut grows with k toward 1 - 1/k ----------------------
-    let hash2 = result.get(Method::Hash, k(2)).expect("ran");
-    let hash8 = result.get(Method::Hash, k(8)).expect("ran");
-    let cut = |r: &blockpart::shard::SimulationResult| {
+    let hash2 = get(&result, "HASH", k(2));
+    let hash8 = get(&result, "HASH", k(8));
+    let cut = |r: &SimulationResult| {
         r.windows
             .last()
             .expect("windows")
@@ -58,9 +70,9 @@ fn paper_shapes_hold_end_to_end() {
 
     // --- METIS family cuts fewer edges than hashing -------------------------
     for kk in [k(2), k(8)] {
-        let hash_cut = cut(result.get(Method::Hash, kk).expect("ran"));
-        for m in [Method::Metis, Method::RMetis, Method::TrMetis] {
-            let mcut = cut(result.get(m, kk).expect("ran"));
+        let hash_cut = cut(get(&result, "HASH", kk));
+        for m in ["METIS", "R-METIS", "TR-METIS"] {
+            let mcut = cut(get(&result, m, kk));
             assert!(
                 mcut < hash_cut,
                 "{m} at {kk}: cut {mcut} should beat hash {hash_cut}"
@@ -69,15 +81,15 @@ fn paper_shapes_hold_end_to_end() {
     }
 
     // --- edge-cut grows with k for every method ------------------------------
-    for m in Method::ALL {
-        let c2 = cut(result.get(m, k(2)).expect("ran"));
-        let c8 = cut(result.get(m, k(8)).expect("ran"));
+    for m in ["HASH", "KL", "METIS", "R-METIS", "TR-METIS"] {
+        let c2 = cut(get(&result, m, k(2)));
+        let c8 = cut(get(&result, m, k(8)));
         assert!(c8 > c2, "{m}: cut should grow with k ({c2} -> {c8})");
     }
 
     // --- periodic methods move vertices --------------------------------------
-    for m in [Method::Kl, Method::Metis, Method::RMetis] {
-        let r = result.get(m, k(2)).expect("ran");
+    for m in ["KL", "METIS", "R-METIS"] {
+        let r = get(&result, m, k(2));
         assert!(r.total_moves > 0, "{m} should move vertices");
         assert!(r.repartitions > 0, "{m} should repartition");
     }
@@ -85,8 +97,8 @@ fn paper_shapes_hold_end_to_end() {
     // healthy log it may legitimately never repartition — but it must
     // never repartition more than R-METIS.
     for kk in [k(2), k(8)] {
-        let tr = result.get(Method::TrMetis, kk).expect("ran");
-        let r = result.get(Method::RMetis, kk).expect("ran");
+        let tr = get(&result, "TR-METIS", kk);
+        let r = get(&result, "R-METIS", kk);
         assert!(
             tr.repartitions <= r.repartitions,
             "TR-METIS repartitions ({}) exceed R-METIS ({}) at {kk}",
@@ -104,22 +116,26 @@ fn study_is_reproducible_across_processes_shape() {
     let a = run_study(23);
     let b = run_study(23);
     for (ra, rb) in a.runs.iter().zip(&b.runs) {
-        assert_eq!(ra.method, rb.method);
+        assert_eq!(ra.strategy, rb.strategy);
         assert_eq!(ra.k, rb.k);
-        assert_eq!(ra.result.total_moves, rb.result.total_moves);
-        assert_eq!(ra.result.vertex_count, rb.result.vertex_count);
-        assert_eq!(ra.result.edge_count, rb.result.edge_count);
+        let (sa, sb) = (
+            ra.offline.as_ref().expect("ran"),
+            rb.offline.as_ref().expect("ran"),
+        );
+        assert_eq!(sa.total_moves, sb.total_moves);
+        assert_eq!(sa.vertex_count, sb.vertex_count);
+        assert_eq!(sa.edge_count, sb.edge_count);
     }
 }
 
 #[test]
 fn windows_account_for_every_interaction() {
     let chain = ChainGenerator::new(GeneratorConfig::test_scale(29)).generate();
-    let result = Study::new(&chain.log)
-        .methods(vec![Method::Hash])
+    let result = study(&chain, "hash")
         .shard_counts(vec![k(2)])
+        .seed(0x5755_4459)
         .run();
-    let hash = result.get(Method::Hash, k(2)).expect("ran");
+    let hash = get(&result, "HASH", k(2));
     let windowed: usize = hash.windows.iter().map(|w| w.events).sum();
     assert_eq!(windowed, chain.log.len());
 }
@@ -134,10 +150,11 @@ fn relocation_units_exceed_moves_when_contracts_move() {
         .contract_storage_sizes()
         .map(|(a, s)| (a, s as u64))
         .collect();
-    let config = Method::Metis
-        .simulator_config(k(2))
-        .with_contract_sizes(sizes);
-    let mut sim = blockpart::shard::ShardSimulator::new(config, Method::Metis.partitioner(1));
+    let metis = StrategyRegistry::with_builtins()
+        .resolve("metis")
+        .expect("built-in strategy resolves");
+    let config = metis.simulator_config(k(2)).with_contract_sizes(sizes);
+    let mut sim = blockpart::shard::ShardSimulator::new(config, metis.build_partitioner(1));
     let r = sim.run(&chain.log);
     assert!(r.total_moves > 0);
     assert!(

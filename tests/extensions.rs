@@ -2,7 +2,7 @@
 //! streaming partitioners, concentration metrics and the mempool.
 
 use blockpart::core::ablation::offline_partitioner_comparison;
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::ethereum::{Transaction, TxPayload, TxPool};
 use blockpart::metrics::{gini, top_share, LogHistogram};
@@ -18,15 +18,17 @@ fn history() -> &'static blockpart::ethereum::SyntheticChain {
 fn cost_model_prefers_better_partitioning() {
     let chain = history();
     let k = ShardCount::new(4).expect("4");
-    let result = Study::new(&chain.log)
-        .methods(vec![Method::Hash, Method::Metis])
+    let result = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "hash,metis")
+        .expect("built-in strategies resolve")
         .shard_counts(vec![k])
+        .seed(0x5755_4459)
         .run();
 
     // pick a capacity that saturates a single machine, so sharding can
     // actually show a speed-up
     let mean_events = {
-        let r = result.get(Method::Hash, k).expect("ran");
+        let r = result.offline("hash", k).expect("ran");
         let active: Vec<_> = r.windows.iter().filter(|w| w.events > 0).collect();
         active.iter().map(|w| w.events).sum::<usize>() as f64 / active.len().max(1) as f64
     };
@@ -37,8 +39,8 @@ fn cost_model_prefers_better_partitioning() {
         },
         ..CostModel::default()
     };
-    let hash = model.run_summary(result.get(Method::Hash, k).expect("ran"), 4);
-    let metis = model.run_summary(result.get(Method::Metis, k).expect("ran"), 4);
+    let hash = model.run_summary(result.offline("hash", k).expect("ran"), 4);
+    let metis = model.run_summary(result.offline("metis", k).expect("ran"), 4);
     // METIS's lower cut must translate into lower bottleneck load per
     // offered transaction — the point of the cost model. (Balance skew
     // can eat some of the advantage, so compare load, not speedup.)

@@ -3,9 +3,8 @@
 
 use blockpart::core::experiments::{
     fig1_growth, fig1_table, fig2_dot, fig3_run, fig3_table, fig4_cells, fig4_periods, fig4_table,
-    fig5_rows, fig5_table,
 };
-use blockpart::core::{Method, Study};
+use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, EraTimeline, GeneratorConfig};
 use blockpart::metrics::calendar::month_start;
 use blockpart::types::{ShardCount, Timestamp};
@@ -80,8 +79,8 @@ fn fig3_hash_vs_metis_tradeoff() {
     let chain = small_history();
     let result = fig3_run(&chain.log, 3);
 
-    let hash = result.get(Method::Hash, ShardCount::TWO).expect("ran");
-    let metis = result.get(Method::Metis, ShardCount::TWO).expect("ran");
+    let hash = result.offline("hash", ShardCount::TWO).expect("ran");
+    let metis = result.offline("metis", ShardCount::TWO).expect("ran");
 
     // hashing: optimum static balance once the population is large (the
     // first year at tiny scale has only tens of vertices, where binomial
@@ -115,7 +114,7 @@ fn fig3_hash_vs_metis_tradeoff() {
     );
 
     // monthly tables render for both methods
-    for m in [Method::Hash, Method::Metis] {
+    for m in ["HASH", "METIS"] {
         let t = fig3_table(&result, m).expect("ran");
         assert!(t.len() >= 25, "{m} table rows: {}", t.len());
     }
@@ -124,8 +123,9 @@ fn fig3_hash_vs_metis_tradeoff() {
 #[test]
 fn fig4_and_fig5_aggregate_full_grid() {
     let chain = small_history();
-    let result = Study::new(&chain.log)
-        .methods(Method::ALL.to_vec())
+    let result = Experiment::over_log(&chain.log)
+        .named_strategies(&StrategyRegistry::with_builtins(), "all")
+        .expect("built-in strategies resolve")
         .shard_counts(vec![ShardCount::TWO, ShardCount::new(8).expect("8")])
         .seed(5)
         .run();
@@ -143,38 +143,45 @@ fn fig4_and_fig5_aggregate_full_grid() {
     assert_eq!(t2.len(), 20); // 5 methods × 4 periods
 
     // fig 5: aggregates for the full grid
-    let rows = fig5_rows(&result);
+    let rows = &result.runs;
     assert_eq!(rows.len(), 10);
-    let table = fig5_table(&rows);
+    let table = result.offline_table();
     assert_eq!(table.len(), 10);
 
-    // paper shape: hashing's cut grows toward 1 - 1/k
+    // paper shape: hashing's cut grows toward 1 - 1/k (mean dynamic
+    // edge-cut over the windows with traffic, the table's column)
     let hash_cut = |kk: u16| {
-        rows.iter()
-            .find(|r| r.method == Method::Hash && r.k.get() == kk)
-            .expect("present")
-            .dynamic_edge_cut
+        let sim = result
+            .offline("hash", ShardCount::new(kk).expect("non-zero"))
+            .expect("present");
+        let active: Vec<f64> = sim
+            .windows
+            .iter()
+            .filter(|w| w.events > 0)
+            .map(|w| w.dynamic_edge_cut)
+            .collect();
+        active.iter().sum::<f64>() / active.len().max(1) as f64
     };
     assert!(hash_cut(2) < hash_cut(8));
 
     // paper shape: METIS moves the most; TR-METIS fewer than R-METIS
-    let moves = |m: Method| {
+    let moves = |m: &str| {
         rows.iter()
-            .filter(|r| r.method == m)
-            .map(|r| r.moves)
+            .filter(|r| r.strategy == m)
+            .map(|r| r.offline.as_ref().expect("offline stage ran").total_moves)
             .sum::<u64>()
     };
-    assert!(moves(Method::Metis) > moves(Method::TrMetis));
-    assert_eq!(moves(Method::Hash), 0);
+    assert!(moves("METIS") > moves("TR-METIS"));
+    assert_eq!(moves("HASH"), 0);
 
     // paper shape: TR-METIS repartitions no more than R-METIS
-    let reparts = |m: Method| {
+    let reparts = |m: &str| {
         rows.iter()
-            .filter(|r| r.method == m)
-            .map(|r| r.repartitions)
+            .filter(|r| r.strategy == m)
+            .map(|r| r.offline.as_ref().expect("offline stage ran").repartitions)
             .sum::<usize>()
     };
-    assert!(reparts(Method::TrMetis) <= reparts(Method::RMetis));
+    assert!(reparts("TR-METIS") <= reparts("R-METIS"));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! quality must translate into execution-level coordination cost, and
 //! the whole engine must be deterministic.
 
-use blockpart::core::{Method, RuntimeStudy};
+use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::ethereum::SyntheticChain;
 use blockpart::types::ShardCount;
@@ -12,17 +12,23 @@ fn history() -> &'static SyntheticChain {
     H.get_or_init(|| ChainGenerator::new(GeneratorConfig::test_scale(21)).generate())
 }
 
+/// The 2PC replay of the history on each named strategy's assignment
+/// at `k` shards.
+fn replay(specs: &str, k: ShardCount) -> Experiment<'static> {
+    Experiment::over_chain(history())
+        .named_strategies(&StrategyRegistry::with_builtins(), specs)
+        .expect("built-in strategies resolve")
+        .shard_counts(vec![k])
+        .offline(false)
+        .replay(true)
+}
+
 #[test]
 fn hash_pays_more_cross_shard_coordination_than_metis() {
-    let chain = history();
     let k = ShardCount::new(4).expect("non-zero");
-    let result = RuntimeStudy::new(chain)
-        .methods(vec![Method::Hash, Method::Metis])
-        .shard_counts(vec![k])
-        .seed(7)
-        .run();
-    let hash = result.get(Method::Hash, k).expect("hash ran");
-    let metis = result.get(Method::Metis, k).expect("metis ran");
+    let result = replay("hash,metis", k).seed(7).run();
+    let hash = result.runtime("hash", k).expect("hash ran");
+    let metis = result.runtime("metis", k).expect("metis ran");
 
     // the headline: a min-cut partition keeps more transactions
     // single-shard than hashing on the same chain
@@ -55,11 +61,8 @@ fn hash_pays_more_cross_shard_coordination_than_metis() {
 fn single_shard_commits_everything_with_zero_2pc_rounds() {
     let chain = history();
     let k = ShardCount::new(1).expect("non-zero");
-    let result = RuntimeStudy::new(chain)
-        .methods(vec![Method::Hash])
-        .shard_counts(vec![k])
-        .run();
-    let report = result.get(Method::Hash, k).expect("ran");
+    let result = replay("hash", k).seed(0x52_55_4e).run();
+    let report = result.runtime("hash", k).expect("ran");
     assert_eq!(report.committed as usize, chain.txs.len());
     assert_eq!(report.failed, 0);
     assert_eq!(report.cross_shard_txs, 0);
@@ -70,38 +73,29 @@ fn single_shard_commits_everything_with_zero_2pc_rounds() {
 
 #[test]
 fn runtime_reports_are_deterministic() {
-    let chain = history();
-    let run = || {
-        RuntimeStudy::new(chain)
-            .methods(vec![Method::Hash, Method::Metis])
-            .shard_counts(vec![ShardCount::TWO])
-            .seed(99)
-            .run()
-    };
+    let run = || replay("hash,metis", ShardCount::TWO).seed(99).run();
     let a = run();
     let b = run();
     assert_eq!(a.runs.len(), b.runs.len());
     for (ra, rb) in a.runs.iter().zip(&b.runs) {
-        assert_eq!(ra.method, rb.method);
-        assert_eq!(ra.report, rb.report, "{} k={}", ra.method, ra.k);
+        assert_eq!(ra.strategy, rb.strategy);
+        assert_eq!(ra.runtime, rb.runtime, "{} k={}", ra.strategy, ra.k);
     }
 }
 
 #[test]
 fn latency_rises_with_network_latency() {
-    let chain = history();
     let k = ShardCount::TWO;
     let run = |latency| {
-        RuntimeStudy::new(chain)
-            .methods(vec![Method::Hash])
-            .shard_counts(vec![k])
+        replay("hash", k)
+            .seed(0x52_55_4e)
             .net_latency_us(latency)
             .run()
     };
     let fast = run(1_000);
     let slow = run(20_000);
-    let fast = fast.get(Method::Hash, k).expect("ran");
-    let slow = slow.get(Method::Hash, k).expect("ran");
+    let fast = fast.runtime("hash", k).expect("ran");
+    let slow = slow.runtime("hash", k).expect("ran");
     assert!(
         slow.p99_commit_latency_us > fast.p99_commit_latency_us,
         "p99 {} !> {}",
