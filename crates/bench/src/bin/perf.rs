@@ -35,7 +35,7 @@ options:
   --obs-gate F       fail (exit code 2) when any replay-obs stage exceeds
                      its uninstrumented replay twin by more than F
                      (e.g. 0.05 = 5% instrumentation overhead)
-  --scale F          override the generator scale
+  --scale F          override the generator scale, in (0, 1]
   --seed N           override the generator/partitioner seed
   --trials N         timed trials per stage
   --warmup N         untimed warmup runs per stage
@@ -92,7 +92,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--scale" => {
                 config.scale = value("--scale")?
                     .parse()
-                    .map_err(|_| "invalid --scale".to_string())?
+                    .ok()
+                    .filter(|&s: &f64| s > 0.0 && s <= 1.0)
+                    .ok_or_else(|| "invalid --scale".to_string())?
             }
             "--seed" => {
                 config.seed = value("--seed")?

@@ -22,14 +22,11 @@ const USAGE: &str = "\
 usage: scenarios [options]
 
 options:
-  --scale F          generator scale (default 0.0004)
+  --scale F          generator scale, in (0, 1] (default 0.0004)
   --seed N           generator/partitioner seed (default 42)
   --scenarios LIST   comma-separated scenario specs (default all)
   --strategies LIST  comma-separated strategy specs (default hash,tr-metis)
   --k LIST           comma-separated shard counts (default 2)
-  --engine SPEC      intra-shard execution engine (default serial);
-                     informational column — engines are
-                     parity-guaranteed and never cause schema drift
   --out PATH         where to write the JSON report (default scenarios.json)
   --csv PATH         also write the matrix as CSV
   --check PATH       compare the matrix shape against a baseline document
@@ -62,7 +59,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--scale" => {
                 config.scale = value("--scale")?
                     .parse()
-                    .map_err(|_| "invalid --scale".to_string())?
+                    .ok()
+                    .filter(|&s: &f64| s > 0.0 && s <= 1.0)
+                    .ok_or_else(|| "invalid --scale".to_string())?
             }
             "--seed" => {
                 config.seed = value("--seed")?
@@ -81,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err("--k needs positive shard counts".into());
                 }
             }
-            "--engine" => config.engine = value("--engine")?,
             "--out" => out = value("--out")?,
             "--csv" => csv = Some(value("--csv")?),
             "--check" => check = Some(value("--check")?),

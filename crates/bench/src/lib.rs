@@ -23,13 +23,13 @@ pub mod scenario_matrix;
 use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart_ethereum::SyntheticChain;
 
-/// Reads `BLOCKPART_SCALE` (default `0.0012`, also when the value is not a
-/// positive finite number).
+/// Reads `BLOCKPART_SCALE` (default `0.0012`, also when the value is not
+/// in (0, 1], the range of [`GeneratorConfig::scale`]).
 pub fn scale_from_env() -> f64 {
     std::env::var("BLOCKPART_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
-        .filter(|&s: &f64| s > 0.0 && s.is_finite())
+        .filter(|&s: &f64| s > 0.0 && s <= 1.0)
         .unwrap_or(0.0012)
 }
 

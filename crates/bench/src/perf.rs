@@ -47,10 +47,8 @@
 use std::time::Instant;
 
 use blockpart_core::{ScenarioRegistry, StrategyRegistry};
-use blockpart_ethereum::evm::{ExecContext, GasSchedule};
-use blockpart_ethereum::exec::ExecRequest;
 use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
-use blockpart_ethereum::{ExecutionEngine, ParallelEngine, SerialEngine, SyntheticChain};
+use blockpart_ethereum::SyntheticChain;
 use blockpart_graph::{InteractionLog, OocCsr};
 use blockpart_live::{LiveConfig, LiveRunner};
 use blockpart_metrics::Json;
@@ -67,11 +65,6 @@ pub const STRATEGIES: [&str; 3] = ["hash", "metis", "r-metis"];
 
 /// The adversarial scenarios scored by the `scenario-*` stages.
 pub const SCENARIOS: [&str; 2] = ["hub-burst", "dummy-spam"];
-
-/// Transactions in the block timed by the `exec-serial`/`exec-parallel`
-/// engine stages — one block large enough to amortize lane startup, kept
-/// constant across scales so the row pair stays comparable.
-pub const EXEC_BLOCK_TXS: usize = 2_000;
 
 /// Edge-accumulation budget for the `oocsr-*` stages, in bytes. Far
 /// below the resident edge set at every configured scale — the
@@ -556,50 +549,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         ChainGenerator::new(gen_config.clone()).generate()
     });
     push("chain-gen", None, None, ms, throughput(chain.txs.len(), ms));
-
-    // ---- intra-shard execution engines: serial vs Block-STM ------------
-    // The same block of transactions executed through both built-in
-    // engines on clones of the generated world. Engines are
-    // parity-guaranteed (byte-identical outcomes), so the row pair is a
-    // pure scheduler-cost comparison; k=1 marks the rows as single-shard
-    // execution outside the 2PC runtime.
-    let exec_block: Vec<ExecRequest> = chain
-        .txs
-        .iter()
-        .take(EXEC_BLOCK_TXS)
-        .enumerate()
-        .map(|(i, rec)| {
-            let entropy = (config.seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            ExecRequest::new(
-                rec.tx,
-                ExecContext::new(rec.time, entropy, rec.tx.gas_limit)
-                    .with_schedule(GasSchedule::eip150()),
-            )
-        })
-        .collect();
-    let (ms, _) = time_stage(config.warmup, config.trials, || {
-        let mut world = chain.chain.world().clone();
-        SerialEngine.execute_block(&mut world, &exec_block)
-    });
-    push(
-        "exec-serial",
-        None,
-        Some(1),
-        ms,
-        throughput(exec_block.len(), ms),
-    );
-    let parallel_engine = ParallelEngine::new();
-    let (ms, _) = time_stage(config.warmup, config.trials, || {
-        let mut world = chain.chain.world().clone();
-        parallel_engine.execute_block(&mut world, &exec_block)
-    });
-    push(
-        "exec-parallel",
-        None,
-        Some(1),
-        ms,
-        throughput(exec_block.len(), ms),
-    );
 
     // ---- graph build: serial vs parallel -------------------------------
     let events = chain.log.events();

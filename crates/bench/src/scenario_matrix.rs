@@ -18,9 +18,7 @@
 //! them by design, and the perf harness already gates the deterministic
 //! quantities that must not drift.
 
-use blockpart_core::{
-    EngineRegistry, Experiment, ExperimentReport, ScenarioRegistry, StrategyRegistry,
-};
+use blockpart_core::{Experiment, ExperimentReport, ScenarioRegistry, StrategyRegistry};
 use blockpart_ethereum::gen::GeneratorConfig;
 use blockpart_metrics::Json;
 use blockpart_types::ShardCount;
@@ -57,17 +55,11 @@ pub struct MatrixConfig {
     pub strategies: String,
     /// Shard counts swept per scenario × strategy.
     pub shard_counts: Vec<u16>,
-    /// Intra-shard execution engine spec, resolved through the
-    /// [`EngineRegistry`]. Informational: engines are parity-guaranteed,
-    /// so the column records *how* cells were executed without being part
-    /// of any row identity — switching engines is not schema drift.
-    /// Documents written before the field parse as `serial`.
-    pub engine: String,
 }
 
 impl MatrixConfig {
     /// The reduced CI profile: small workload, `hash` vs `tr-metis` at
-    /// k = 2 over every registered scenario, serial execution.
+    /// k = 2 over every registered scenario.
     pub fn ci() -> Self {
         MatrixConfig {
             scale: 0.0004,
@@ -75,7 +67,6 @@ impl MatrixConfig {
             scenarios: "all".to_string(),
             strategies: "hash,tr-metis".to_string(),
             shard_counts: vec![2],
-            engine: "serial".to_string(),
         }
     }
 }
@@ -89,10 +80,6 @@ pub struct MatrixRow {
     pub strategy: String,
     /// Shard count.
     pub k: u16,
-    /// The execution engine the cell ran under (canonical engine name).
-    /// Informational — not part of [`key`](MatrixRow::key), because
-    /// engines are parity-guaranteed and must not cause schema drift.
-    pub engine: String,
     /// Mean dynamic edge cut over active offline windows.
     pub cut: f64,
     /// Normalized mean dynamic balance, `(b − 1)/(k − 1)`.
@@ -155,7 +142,7 @@ fn normalized_balance(mean_balance: f64, k: u16) -> f64 {
 }
 
 /// Flattens one scenario's [`ExperimentReport`] into matrix rows.
-fn rows_of(scenario: &str, engine: &str, report: &ExperimentReport) -> Vec<MatrixRow> {
+fn rows_of(scenario: &str, report: &ExperimentReport) -> Vec<MatrixRow> {
     report
         .runs
         .iter()
@@ -168,7 +155,6 @@ fn rows_of(scenario: &str, engine: &str, report: &ExperimentReport) -> Vec<Matri
                 scenario: scenario.to_string(),
                 strategy: run.strategy.clone(),
                 k: run.k.get(),
-                engine: engine.to_string(),
                 cut,
                 balance,
                 moves: run.offline.as_ref().map_or(0, |s| s.total_moves),
@@ -210,10 +196,6 @@ pub fn run(config: &MatrixConfig) -> Result<MatrixReport, String> {
     strategies
         .resolve_list(&config.strategies)
         .map_err(|e| e.to_string())?;
-    let exec = EngineRegistry::with_builtins()
-        .resolve(&config.engine)
-        .map_err(|e| e.to_string())?;
-    let engine_name = exec.name();
     let shard_counts: Vec<ShardCount> = config
         .shard_counts
         .iter()
@@ -233,9 +215,8 @@ pub fn run(config: &MatrixConfig) -> Result<MatrixReport, String> {
             .offline(true)
             .replay(true)
             .live(true)
-            .with_exec(exec.clone())
             .run();
-        rows.extend(rows_of(scenario.name(), &engine_name, &report));
+        rows.extend(rows_of(scenario.name(), &report));
     }
     Ok(MatrixReport {
         config: config.clone(),
@@ -252,7 +233,6 @@ impl MatrixReport {
             ("scale", Json::from(self.config.scale)),
             ("scenarios", Json::from(self.config.scenarios.as_str())),
             ("strategies", Json::from(self.config.strategies.as_str())),
-            ("engine", Json::from(self.config.engine.as_str())),
             (
                 "shard_counts",
                 Json::arr(self.config.shard_counts.iter().map(|&k| Json::from(k))),
@@ -268,7 +248,6 @@ impl MatrixReport {
                         ("scenario", Json::from(r.scenario.as_str())),
                         ("strategy", Json::from(r.strategy.as_str())),
                         ("k", Json::from(r.k)),
-                        ("engine", Json::from(r.engine.as_str())),
                         ("cut", Json::from(r.cut)),
                         ("balance", Json::from(r.balance)),
                         ("moves", Json::from(r.moves)),
@@ -362,13 +341,6 @@ impl MatrixReport {
                     k: u("k").and_then(|k| {
                         u16::try_from(k).map_err(|_| "bad row shard count".to_string())
                     })?,
-                    // additive within schema 1: rows written before the
-                    // column parse as serial execution
-                    engine: r
-                        .get("engine")
-                        .and_then(Json::as_str)
-                        .unwrap_or("serial")
-                        .to_string(),
                     cut: f("cut")?,
                     balance: f("balance")?,
                     moves: u("moves")?,
@@ -396,29 +368,23 @@ impl MatrixReport {
                 scenarios: str_field("scenarios")?,
                 strategies: str_field("strategies")?,
                 shard_counts,
-                engine: doc
-                    .get("engine")
-                    .and_then(Json::as_str)
-                    .unwrap_or("serial")
-                    .to_string(),
             },
             rows,
         })
     }
 
-    /// Renders the matrix as a flat CSV: identity columns, the
-    /// informational engine column, then [`METRIC_KEYS`] in order.
+    /// Renders the matrix as a flat CSV: identity columns, then
+    /// [`METRIC_KEYS`] in order.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("scenario,strategy,k,engine,");
+        let mut out = String::from("scenario,strategy,k,");
         out.push_str(&METRIC_KEYS.join(","));
         out.push('\n');
         for r in &self.rows {
             out.push_str(&format!(
-                "{},{},{},{},{:.4},{:.4},{},{},{:.2},{:.2},{:.3},{},{},{},{:.3}\n",
+                "{},{},{},{:.4},{:.4},{},{},{:.2},{:.2},{:.3},{},{},{},{:.3}\n",
                 r.scenario,
                 r.strategy,
                 r.k,
-                r.engine,
                 r.cut,
                 r.balance,
                 r.moves,
@@ -472,7 +438,6 @@ mod tests {
             scenario: scenario.to_string(),
             strategy: strategy.to_string(),
             k,
-            engine: "serial".to_string(),
             cut: 0.25,
             balance: 0.5,
             moves: 10,
@@ -545,31 +510,12 @@ mod tests {
         let header = lines.next().unwrap();
         assert_eq!(
             header,
-            "scenario,strategy,k,engine,cut,balance,moves,repartitions,cross_pct,abort_pct,\
+            "scenario,strategy,k,cut,balance,moves,repartitions,cross_pct,abort_pct,\
              p99_ms,migrations,accounts_moved,bytes_moved,during_p99_ms"
         );
         let line = lines.next().unwrap();
-        assert!(line.starts_with("hub-burst,HASH,2,serial,"), "{line}");
+        assert!(line.starts_with("hub-burst,HASH,2,0.2500,"), "{line}");
         assert_eq!(line.split(',').count(), header.split(',').count());
-    }
-
-    #[test]
-    fn engine_column_is_additive_and_identity_free() {
-        // documents written before the column parse as serial execution
-        let report = report_with(vec![row("hub-burst", "HASH", 2)]);
-        let stripped = report
-            .to_json()
-            .render()
-            .replace(",\"engine\":\"serial\"", "");
-        let parsed = MatrixReport::from_json(&Json::parse(&stripped).unwrap()).unwrap();
-        assert_eq!(parsed.rows[0].engine, "serial");
-        assert_eq!(parsed.config.engine, "serial");
-        // switching engines is not schema drift: row identities (and so
-        // the baseline gate) ignore the column entirely
-        let mut parallel = report.clone();
-        parallel.rows[0].engine = "parallel[lanes=0;retry=4;window=32]".to_string();
-        assert_eq!(parallel.rows[0].key(), report.rows[0].key());
-        assert!(schema_drift(&parallel, &report).is_empty());
     }
 
     #[test]
@@ -581,7 +527,6 @@ mod tests {
             scenarios: "hub-burst[contracts=2]".to_string(),
             strategies: "hash,tr-metis".to_string(),
             shard_counts: vec![2],
-            engine: "serial".to_string(),
         };
         let report = run(&config).unwrap();
         assert_eq!(report.rows.len(), 2);

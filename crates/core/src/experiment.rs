@@ -450,10 +450,6 @@ pub struct Experiment<'a> {
     trace: bool,
     net_latency_us: Option<u64>,
     inter_arrival_us: Option<u64>,
-    /// The intra-shard execution engine for the replay and live stages
-    /// (`None` = each strategy's own [`RuntimeConfig`] default, i.e. the
-    /// serial engine).
-    exec: Option<blockpart_ethereum::ExecHandle>,
     /// Where the pipeline's heavy data lives. With
     /// [`StorageBackend::Spill`], a generator workload without replay or
     /// live stages is synthesized straight into an on-disk segment store
@@ -501,7 +497,6 @@ impl<'a> Experiment<'a> {
             trace: false,
             net_latency_us: None,
             inter_arrival_us: None,
-            exec: None,
             storage: StorageBackend::InMemory,
         }
     }
@@ -653,16 +648,6 @@ impl<'a> Experiment<'a> {
     /// strategy.
     pub fn inter_arrival_us(mut self, gap: u64) -> Self {
         self.inter_arrival_us = Some(gap);
-        self
-    }
-
-    /// Overrides the intra-shard execution engine used by the replay and
-    /// live stages for every strategy (the serial engine when unset).
-    /// Resolve one by name with [`EngineRegistry`](crate::EngineRegistry)
-    /// or pass a handle built directly. Engines are parity-guaranteed:
-    /// only the additive `exec_*` report counters may differ.
-    pub fn with_exec(mut self, exec: blockpart_ethereum::ExecHandle) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -922,9 +907,6 @@ impl<'a> Experiment<'a> {
             if let Some(gap) = self.inter_arrival_us {
                 cfg = cfg.with_inter_arrival_us(gap);
             }
-            if let Some(exec) = &self.exec {
-                cfg = cfg.with_exec(exec.clone());
-            }
             if let Some(spool) = spool_root {
                 cfg = cfg.with_state_spool_dir(spool.join(format!("spool-replay-{pair}")));
             }
@@ -962,9 +944,6 @@ impl<'a> Experiment<'a> {
             }
             if let Some(gap) = self.inter_arrival_us {
                 runtime_cfg = runtime_cfg.with_inter_arrival_us(gap);
-            }
-            if let Some(exec) = &self.exec {
-                runtime_cfg = runtime_cfg.with_exec(exec.clone());
             }
             if let Some(spool) = spool_root {
                 runtime_cfg =

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-mod engine;
 mod experiment;
 pub mod experiments;
 mod methods;
@@ -46,7 +45,6 @@ mod profile;
 mod scenario;
 mod strategy;
 
-pub use engine::{EngineFactory, EngineRegistry};
 pub use experiment::{Experiment, ExperimentReport, ExperimentRun};
 pub use profile::{run_profile, ProfileReport};
 pub use scenario::{ComposedScenario, ScenarioFactory, ScenarioRegistry, ScenarioSpec};

@@ -10,18 +10,6 @@ use crate::evm::{ExecContext, GasSchedule, Vm};
 use crate::state::World;
 use crate::transaction::Transaction;
 
-/// One transaction's canonical execution result: the receipt plus the
-/// exact read/write address footprint captured by overlay execution.
-#[derive(Clone, Debug)]
-pub struct TxOutcome {
-    /// The execution receipt.
-    pub receipt: crate::transaction::Receipt,
-    /// Addresses read, ascending, [`Address::ZERO`](blockpart_types::Address::ZERO)-excluded.
-    pub reads: Vec<blockpart_types::Address>,
-    /// Addresses written, ascending, same conventions.
-    pub writes: Vec<blockpart_types::Address>,
-}
-
 /// A blockchain: the world state plus executed-block summaries.
 ///
 /// Appending a block executes every transaction through the EVM-lite VM
@@ -140,26 +128,6 @@ impl Chain {
         transactions: Vec<Transaction>,
         log: &mut InteractionLog,
     ) -> (BlockSummary, Vec<crate::transaction::Receipt>) {
-        let (summary, outcomes) = self.apply_block_with_outcomes(time, transactions, log);
-        (summary, outcomes.into_iter().map(|o| o.receipt).collect())
-    }
-
-    /// Like [`Chain::apply_block_with_receipts`] but also returns each
-    /// transaction's exact read/write address footprint: execution runs
-    /// through the recording overlay
-    /// ([`exec::execute_captured`](crate::exec::execute_captured)), which
-    /// is byte-identical to direct execution, so the chain and log are
-    /// unchanged from the pre-capture path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` precedes the previous block.
-    pub fn apply_block_with_outcomes(
-        &mut self,
-        time: Timestamp,
-        transactions: Vec<Transaction>,
-        log: &mut InteractionLog,
-    ) -> (BlockSummary, Vec<TxOutcome>) {
         if let Some(last) = self.summaries.last() {
             assert!(time >= last.time, "blocks must advance in time");
         }
@@ -168,7 +136,7 @@ impl Chain {
 
         let mut gas_used = Gas::ZERO;
         let mut failed = 0usize;
-        let mut outcomes = Vec::with_capacity(block.transactions.len());
+        let mut receipts = Vec::with_capacity(block.transactions.len());
         for (i, tx) in block.transactions.iter().enumerate() {
             let ctx = ExecContext::new(
                 time,
@@ -176,21 +144,7 @@ impl Chain {
                 tx.gas_limit,
             )
             .with_schedule(self.gas_schedule);
-            let (receipt, reads, writes) = match tx.payload {
-                // A plain transfer's footprint is statically known —
-                // sender and recipient, each read and written — so it
-                // executes directly, skipping the recording overlay
-                // (which would otherwise dominate generation time).
-                crate::transaction::TxPayload::Transfer => {
-                    let receipt = Vm::execute(&mut self.world, tx, &ctx);
-                    let mut footprint = vec![tx.from, tx.to];
-                    footprint.sort_unstable();
-                    footprint.dedup();
-                    footprint.retain(|&a| a != blockpart_types::Address::ZERO);
-                    (receipt, footprint.clone(), footprint)
-                }
-                _ => crate::exec::execute_captured(&mut self.world, tx, &ctx),
-            };
+            let receipt = Vm::execute(&mut self.world, tx, &ctx);
             gas_used += receipt.gas_used;
             if !receipt.is_success() {
                 failed += 1;
@@ -205,11 +159,7 @@ impl Chain {
                     to_kind: call.to_kind,
                 });
             }
-            outcomes.push(TxOutcome {
-                receipt,
-                reads,
-                writes,
-            });
+            receipts.push(receipt);
         }
         let summary = BlockSummary {
             number: block.number,
@@ -219,7 +169,7 @@ impl Chain {
             gas_used,
         };
         self.summaries.push(summary);
-        (summary, outcomes)
+        (summary, receipts)
     }
 }
 

@@ -3,8 +3,8 @@
 use blockpart_types::{AccountKind, Address, Gas, Timestamp, Wei};
 
 use crate::evm::{GasSchedule, Op};
-use crate::exec::VmState;
 use crate::program::{ContractTemplate, Program};
+use crate::state::World;
 use crate::transaction::{CallKind, CallRecord, Receipt, Transaction, TxPayload, TxStatus};
 
 /// Maximum operand-stack depth.
@@ -90,10 +90,7 @@ impl ExecContext {
 }
 
 /// The EVM-lite virtual machine. Stateless: all mutation happens on the
-/// [`VmState`] passed to [`Vm::execute`] — a [`World`](crate::World)
-/// directly, or a recording
-/// [`OverlayView`](crate::exec::OverlayView) when executing
-/// speculatively.
+/// [`World`] passed to [`Vm::execute`].
 ///
 /// # Examples
 ///
@@ -163,7 +160,7 @@ impl Vm {
     /// Failed transactions keep their side effects up to the failure point
     /// (a simplification — the paper's graph counts interactions, not
     /// rollbacks) and consume gas.
-    pub fn execute<S: VmState>(world: &mut S, tx: &Transaction, ctx: &ExecContext) -> Receipt {
+    pub fn execute(world: &mut World, tx: &Transaction, ctx: &ExecContext) -> Receipt {
         let mut state = ExecState {
             gas_used: 0,
             gas_limit: ctx.gas_limit.get(),
@@ -206,7 +203,7 @@ impl Vm {
                     kind: CallKind::Transaction,
                 });
                 world.transfer(tx.from, tx.to, tx.value);
-                if let Some(program) = world.program_of(tx.to) {
+                if let Some(program) = world.contract(tx.to).map(|c| c.program.clone()) {
                     match run(
                         world, &program, tx.to, tx.from, tx.value, arg, 0, &mut state,
                     ) {
@@ -247,8 +244,8 @@ impl Vm {
 
 /// Interprets `program` in the frame of contract `self_addr`.
 #[allow(clippy::too_many_arguments)]
-fn run<S: VmState>(
-    world: &mut S,
+fn run(
+    world: &mut World,
     program: &Program,
     self_addr: Address,
     caller: Address,
@@ -376,7 +373,7 @@ fn run<S: VmState>(
                     kind: CallKind::Call,
                 });
                 world.transfer(self_addr, to, Wei::new(call_value));
-                let ret = match world.program_of(to) {
+                let ret = match world.contract(to).map(|c| c.program.clone()) {
                     Some(callee) if depth + 1 < CALL_DEPTH_LIMIT => {
                         match run(
                             world,
@@ -442,7 +439,6 @@ fn run<S: VmState>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::World;
 
     fn setup() -> (World, Address) {
         let mut world = World::new();

@@ -81,7 +81,8 @@ impl BlockSink for CollectSink {
 pub struct GeneratorConfig {
     /// RNG seed: the same seed always produces the same chain.
     pub seed: u64,
-    /// Fraction of the full-scale transaction rate to generate.
+    /// Fraction of the full-scale transaction rate to generate, in
+    /// (0, 1].
     pub scale: f64,
     /// The era timeline to replay.
     pub timeline: EraTimeline,
@@ -271,16 +272,10 @@ impl ChainGenerator {
             // reconstruct the resident log exactly.
             let mut block_log = InteractionLog::new();
             block_txs.clear();
-            let (summary, outcomes) = chain.apply_block_with_outcomes(t, txs, &mut block_log);
-            for ((outcome, post), tx) in outcomes.into_iter().zip(&posts).zip(&submitted) {
-                self.register_created(chain.world_mut(), &outcome.receipt, post);
-                block_txs.push(ExecutedTx::with_access(
-                    t,
-                    *tx,
-                    &outcome.receipt,
-                    outcome.reads,
-                    outcome.writes,
-                ));
+            let (summary, receipts) = chain.apply_block_with_receipts(t, txs, &mut block_log);
+            for ((receipt, post), tx) in receipts.iter().zip(&posts).zip(&submitted) {
+                self.register_created(chain.world_mut(), receipt, post);
+                block_txs.push(ExecutedTx::new(t, *tx, receipt));
             }
             sink.block(&summary, block_log.events(), &block_txs)?;
 

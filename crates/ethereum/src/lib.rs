@@ -30,7 +30,6 @@
 mod block;
 mod chain;
 pub mod evm;
-pub mod exec;
 pub mod gen;
 mod pool;
 mod program;
@@ -38,8 +37,7 @@ mod state;
 mod transaction;
 
 pub use block::{Block, BlockSummary};
-pub use chain::{Chain, SyntheticChain, TxOutcome};
-pub use exec::{ExecHandle, ExecutionEngine, ParallelEngine, SerialEngine};
+pub use chain::{Chain, SyntheticChain};
 pub use pool::TxPool;
 pub use program::{ContractTemplate, Program};
 pub use state::{AccountState, AddressState, ContractState, World};

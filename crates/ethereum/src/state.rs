@@ -301,24 +301,6 @@ impl World {
         self.contracts.iter().map(|(&a, c)| (a, c.storage_size()))
     }
 
-    /// Overwrites one account record without touching the contracts map.
-    ///
-    /// Unlike [`install_state`](Self::install_state) this does *not*
-    /// remove a contract record at the same address: the VM can hold
-    /// both (e.g. [`bump_nonce`](Self::bump_nonce) materializes an
-    /// account entry even for contract addresses), and the optimistic
-    /// execution overlay replays exactly the entries direct execution
-    /// would have produced.
-    pub(crate) fn set_account_record(&mut self, address: Address, state: AccountState) {
-        self.accounts.insert(address, state);
-    }
-
-    /// Overwrites one contract record without touching the accounts map.
-    /// See [`set_account_record`](Self::set_account_record).
-    pub(crate) fn set_contract_record(&mut self, address: Address, state: ContractState) {
-        self.contracts.insert(address, state);
-    }
-
     fn allocate_address(&mut self) -> Address {
         let address = Address::from_index(self.next_index);
         self.next_index += 1;

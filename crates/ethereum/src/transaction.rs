@@ -144,10 +144,6 @@ impl Receipt {
 /// };
 /// let exec = ExecutedTx::new(Timestamp::from_secs(9), tx, &receipt);
 /// assert_eq!(exec.touched, vec![tx.from, tx.to]);
-/// // without captured access sets, reads and writes fall back to the
-/// // unified list — conservative, never under-declared
-/// assert_eq!(exec.declared_reads(), exec.touched.as_slice());
-/// assert_eq!(exec.declared_writes(), exec.touched.as_slice());
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutedTx {
@@ -163,81 +159,11 @@ pub struct ExecutedTx {
     /// order; the sender always comes first. [`Address::ZERO`] (the
     /// creation sink) is excluded — it is not real state.
     pub touched: Vec<Address>,
-    /// Addresses the canonical execution *read* (ascending), when the
-    /// run captured exact access sets; empty on records predating the
-    /// split — use [`declared_reads`](Self::declared_reads), which falls
-    /// back to `touched`.
-    #[serde(default)]
-    pub reads: Vec<Address>,
-    /// Addresses the canonical execution *wrote* (ascending); same
-    /// conventions as [`reads`](Self::reads).
-    #[serde(default)]
-    pub writes: Vec<Address>,
 }
 
 impl ExecutedTx {
     /// Builds the record from a transaction and its canonical receipt.
-    ///
-    /// Without captured access sets, `reads` and `writes` both default
-    /// to the unified `touched` list — a conservative over-declaration
-    /// (a hub contract shows up as read+write, never write-only).
     pub fn new(time: Timestamp, tx: Transaction, receipt: &Receipt) -> Self {
-        let touched = Self::touched_of(tx, receipt);
-        ExecutedTx {
-            time,
-            tx,
-            gas_used: receipt.gas_used,
-            status: receipt.status,
-            reads: touched.clone(),
-            writes: touched.clone(),
-            touched,
-        }
-    }
-
-    /// Builds the record with the exact read/write address sets captured
-    /// by overlay execution (see
-    /// [`exec::execute_captured`](crate::exec::execute_captured)).
-    /// `touched` keeps its historical first-touch order and contents.
-    pub fn with_access(
-        time: Timestamp,
-        tx: Transaction,
-        receipt: &Receipt,
-        reads: Vec<Address>,
-        writes: Vec<Address>,
-    ) -> Self {
-        ExecutedTx {
-            time,
-            tx,
-            gas_used: receipt.gas_used,
-            status: receipt.status,
-            touched: Self::touched_of(tx, receipt),
-            reads,
-            writes,
-        }
-    }
-
-    /// The declared read set: the captured `reads` when present,
-    /// otherwise the unified `touched` list (records predating the
-    /// read/write split).
-    pub fn declared_reads(&self) -> &[Address] {
-        if self.reads.is_empty() {
-            &self.touched
-        } else {
-            &self.reads
-        }
-    }
-
-    /// The declared write set; same fallback as
-    /// [`declared_reads`](Self::declared_reads).
-    pub fn declared_writes(&self) -> &[Address] {
-        if self.writes.is_empty() {
-            &self.touched
-        } else {
-            &self.writes
-        }
-    }
-
-    fn touched_of(tx: Transaction, receipt: &Receipt) -> Vec<Address> {
         let mut touched = vec![tx.from];
         let mut push = |a: Address| {
             if a != Address::ZERO && !touched.contains(&a) {
@@ -252,7 +178,13 @@ impl ExecutedTx {
         for &created in &receipt.created {
             push(created);
         }
-        touched
+        ExecutedTx {
+            time,
+            tx,
+            gas_used: receipt.gas_used,
+            status: receipt.status,
+            touched,
+        }
     }
 }
 

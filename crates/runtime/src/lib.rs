@@ -113,15 +113,6 @@ pub struct RuntimeConfig {
     /// is lossless, so reports and traces are byte-identical with or
     /// without a spool.
     pub state_spool_dir: Option<std::path::PathBuf>,
-    /// The intra-shard execution engine. The default is the serial
-    /// engine, which reproduces the historical one-at-a-time path
-    /// exactly. A speculating engine (see
-    /// [`blockpart_ethereum::ParallelEngine`]) pre-executes queued local
-    /// transactions in parallel host threads; commits stay in
-    /// deterministic virtual order, so every pre-existing report field
-    /// and trace byte is identical — only the additive `exec_*`
-    /// speculation counters (and wall-clock time) change.
-    pub exec: blockpart_ethereum::ExecHandle,
 }
 
 impl RuntimeConfig {
@@ -140,15 +131,7 @@ impl RuntimeConfig {
             seed: 0,
             parallel_batch_threshold: PARALLEL_BATCH_THRESHOLD,
             state_spool_dir: None,
-            exec: blockpart_ethereum::ExecHandle::default(),
         }
-    }
-
-    /// Overrides the intra-shard execution engine (see
-    /// [`RuntimeConfig::exec`]).
-    pub fn with_exec(mut self, exec: blockpart_ethereum::ExecHandle) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// Routes 2PC state shipping through a per-shard on-disk spool in
@@ -425,9 +408,6 @@ impl ShardedRuntime {
         let mut aborted_rounds = 0u64;
         let mut local_conflicts = 0u64;
         let mut stray_touches = 0u64;
-        let mut exec_speculated = 0u64;
-        let mut exec_conflicts = 0u64;
-        let mut exec_re_executions = 0u64;
         let mut abort_causes: BTreeMap<String, u64> = BTreeMap::new();
         let mut latencies: Vec<u64> = Vec::new();
         let mut makespan = 0u64;
@@ -438,9 +418,6 @@ impl ShardedRuntime {
             aborted_rounds += w.stats.aborted_rounds;
             local_conflicts += w.stats.local_conflicts;
             stray_touches += w.stats.stray_touches;
-            exec_speculated += w.stats.exec_speculated;
-            exec_conflicts += w.stats.exec_conflicts;
-            exec_re_executions += w.stats.exec_re_executions;
             for (&cause, &n) in &w.stats.abort_causes {
                 *abort_causes.entry(cause.to_string()).or_insert(0) += n;
             }
@@ -463,9 +440,6 @@ impl ShardedRuntime {
                     w.stats.busy_us as f64 / makespan as f64
                 },
                 aborted_rounds: w.stats.aborted_rounds,
-                exec_speculated: w.stats.exec_speculated,
-                exec_conflicts: w.stats.exec_conflicts,
-                exec_re_executions: w.stats.exec_re_executions,
             })
             .collect();
         RuntimeReport {
@@ -497,9 +471,9 @@ impl ShardedRuntime {
             } else {
                 committed as f64 * 1e6 / makespan as f64
             },
-            exec_speculated,
-            exec_conflicts,
-            exec_re_executions,
+            exec_speculated: 0,
+            exec_conflicts: 0,
+            exec_re_executions: 0,
             per_shard,
         }
     }

@@ -22,18 +22,6 @@ pub struct ShardReport {
     pub utilization: f64,
     /// Prepare rounds this shard coordinated that aborted.
     pub aborted_rounds: u64,
-    /// Speculative executions the engine ran ahead of the commit point
-    /// (0 under the serial engine; absent in pre-split reports).
-    #[serde(default)]
-    pub exec_speculated: u64,
-    /// Cached speculations invalidated by an intervening write to their
-    /// read/write footprint.
-    #[serde(default)]
-    pub exec_conflicts: u64,
-    /// Transactions re-executed at their commit point because their
-    /// speculation was invalidated or flushed.
-    #[serde(default)]
-    pub exec_re_executions: u64,
 }
 
 /// The outcome of one sharded execution run.
@@ -81,16 +69,14 @@ pub struct RuntimeReport {
     pub makespan_us: u64,
     /// Committed transactions per virtual second.
     pub throughput_tps: f64,
-    /// Speculative executions across all shards (0 under the serial
-    /// engine; absent in pre-split reports).
-    #[serde(default)]
+    /// Always 0: shards execute every transaction directly, with no
+    /// speculation. Kept, like the two counters below, so the report
+    /// JSON keeps its `exec_*` keys and the benchmark harness that
+    /// reads `exec_re_executions` keeps working.
     pub exec_speculated: u64,
-    /// Speculations invalidated by an intervening write, across shards.
-    #[serde(default)]
+    /// Always 0 (see [`exec_speculated`](Self::exec_speculated)).
     pub exec_conflicts: u64,
-    /// Commit-point re-executions after a wasted speculation, across
-    /// shards.
-    #[serde(default)]
+    /// Always 0 (see [`exec_speculated`](Self::exec_speculated)).
     pub exec_re_executions: u64,
     /// Per-shard breakdown.
     pub per_shard: Vec<ShardReport>,

@@ -7,10 +7,9 @@
 //! engine schedules through the shared event clock. That isolation is
 //! what lets the engine run one thread per shard and stay deterministic.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use blockpart_ethereum::evm::{ExecContext, GasSchedule};
-use blockpart_ethereum::exec::{ExecRequest, Resource, Speculation};
+use blockpart_ethereum::evm::{ExecContext, GasSchedule, Vm};
 use blockpart_ethereum::{Receipt, Transaction, World};
 use blockpart_obs::{Collector, Record, Trace};
 use blockpart_types::{Address, ShardId, Timestamp};
@@ -113,12 +112,6 @@ pub(crate) struct WorkerStats {
     pub aborted_rounds: u64,
     pub local_conflicts: u64,
     pub stray_touches: u64,
-    /// Speculative executions run ahead of the commit point.
-    pub exec_speculated: u64,
-    /// Cached speculations invalidated by an intervening write.
-    pub exec_conflicts: u64,
-    /// Commit-point re-executions after a wasted speculation.
-    pub exec_re_executions: u64,
     /// `aborted_rounds` split by cause; values sum to `aborted_rounds`.
     pub abort_causes: BTreeMap<&'static str, u64>,
     pub latencies_us: Vec<u64>,
@@ -155,26 +148,6 @@ pub(crate) struct ShardWorker {
     /// of a resident `World`. The encoding is lossless — behaviour is
     /// byte-identical either way.
     pub(crate) spool: Option<blockpart_storage::AccountStateStore>,
-    /// Speculative executions of queued local transactions, keyed by tx.
-    /// Populated only when the configured engine speculates
-    /// (`speculation_window() > 0`); the serial engine never touches it.
-    spec_cache: HashMap<TxId, CachedSpec>,
-    /// Transactions whose speculation was flushed wholesale by a world
-    /// mutation outside the local execution path (2PC commit installs,
-    /// migration installs). Reaching one counts as a re-execution.
-    stale_specs: HashSet<TxId>,
-    /// Last write's clock value per resource, since the last flush.
-    write_versions: HashMap<Resource, u64>,
-    /// Monotonic counter stamping every local world write.
-    write_clock: u64,
-}
-
-/// One speculative execution and the write-clock instant it observed.
-struct CachedSpec {
-    spec: Speculation,
-    /// [`ShardWorker::write_clock`] when the speculation ran: the cache
-    /// entry is valid iff no dependency has a newer write version.
-    snapshot: u64,
 }
 
 impl ShardWorker {
@@ -190,10 +163,6 @@ impl ShardWorker {
             obs: Trace::disabled(),
             idle_from: 0,
             spool: None,
-            spec_cache: HashMap::new(),
-            stale_specs: HashSet::new(),
-            write_versions: HashMap::new(),
-            write_clock: 0,
         }
     }
 
@@ -434,8 +403,6 @@ impl ShardWorker {
                 self.world.install_state(a, state);
             }
         }
-        // the slice changed outside the local execution path
-        self.flush_speculations();
         self.locks.release(tx);
         let coordinator = ctx.txs[tx.as_usize()].home;
         out.push(Emit {
@@ -543,7 +510,7 @@ impl ShardWorker {
         let vm_ctx = ExecContext::new(rec.block_time, rec.entropy, rec.tx.gas_limit)
             .with_schedule(GasSchedule::eip150());
         let receipt = match work {
-            Work::Local(_) => self.exec_local(tx, rec, &vm_ctx, ctx),
+            Work::Local(_) => Vm::execute(&mut self.world, &rec.tx, &vm_ctx),
             Work::CrossExec(_) => {
                 let coord = self.coords.get_mut(&tx).expect("executing without state");
                 let mut scratch = World::new();
@@ -551,10 +518,7 @@ impl ShardWorker {
                 for (a, state) in coord.shipped.drain(..) {
                     scratch.install_state(a, state);
                 }
-                let receipt = ctx
-                    .cfg
-                    .exec
-                    .execute_one(&mut scratch, &ExecRequest::new(rec.tx, vm_ctx));
+                let receipt = Vm::execute(&mut scratch, &rec.tx, &vm_ctx);
                 coord.scratch = Some(scratch);
                 coord.created = receipt.created.clone();
                 receipt
@@ -590,143 +554,6 @@ impl ShardWorker {
             shard: self.id,
             event: Event::ExecDone(tx),
         });
-    }
-
-    /// Executes a single-shard transaction on this shard's slice, using
-    /// the configured engine's speculation when it offers any.
-    ///
-    /// With a speculating engine, queued local transactions are
-    /// pre-executed in parallel host threads against the current slice
-    /// ([`refill_speculations`](Self::refill_speculations)); at the
-    /// commit point the cached result is applied iff none of its
-    /// read/write dependencies saw a newer write, otherwise the
-    /// transaction re-executes directly. The cached receipt is the exact
-    /// receipt direct execution would produce (proptest-gated), so
-    /// virtual-time behaviour — receipts, gas, busy time, traces — is
-    /// byte-identical to the serial engine; only the additive `exec_*`
-    /// counters (and wall-clock time) differ.
-    fn exec_local(
-        &mut self,
-        tx: TxId,
-        rec: &TxRecord,
-        vm_ctx: &ExecContext,
-        ctx: &Ctx<'_>,
-    ) -> Receipt {
-        let engine = &ctx.cfg.exec;
-        let window = engine.speculation_window();
-        if window == 0 {
-            return engine.execute_one(&mut self.world, &ExecRequest::new(rec.tx, *vm_ctx));
-        }
-        let cached = self.spec_cache.remove(&tx);
-        let receipt = match cached {
-            Some(c)
-                if c.spec
-                    .deps()
-                    .all(|d| self.write_versions.get(d).copied().unwrap_or(0) <= c.snapshot) =>
-            {
-                c.spec.apply(&mut self.world);
-                self.note_spec_writes(&c.spec);
-                c.spec.receipt().clone()
-            }
-            invalid => {
-                if invalid.is_some() {
-                    self.stats.exec_conflicts += 1;
-                    self.stats.exec_re_executions += 1;
-                } else if self.stale_specs.remove(&tx) {
-                    self.stats.exec_re_executions += 1;
-                }
-                let receipt =
-                    engine.execute_one(&mut self.world, &ExecRequest::new(rec.tx, *vm_ctx));
-                self.note_receipt_writes(rec, &receipt);
-                receipt
-            }
-        };
-        self.refill_speculations(window, ctx);
-        receipt
-    }
-
-    /// Tops the speculation cache up to `window` entries by speculatively
-    /// executing queued local payload transactions (in parallel host
-    /// threads, via the engine) against the current slice. Amortized one
-    /// speculation per transaction: entries already cached are skipped.
-    fn refill_speculations(&mut self, window: usize, ctx: &Ctx<'_>) {
-        let mut pending: Vec<TxId> = Vec::new();
-        for work in &self.queue {
-            if self.spec_cache.len() + pending.len() >= window {
-                break;
-            }
-            if let Work::Local(tx) = *work {
-                if !self.spec_cache.contains_key(&tx)
-                    && ctx.txs[tx.as_usize()].kind == TxKind::Payload
-                {
-                    pending.push(tx);
-                }
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let reqs: Vec<ExecRequest> = pending
-            .iter()
-            .map(|&tx| {
-                let rec = &ctx.txs[tx.as_usize()];
-                let vm_ctx = ExecContext::new(rec.block_time, rec.entropy, rec.tx.gas_limit)
-                    .with_schedule(GasSchedule::eip150());
-                ExecRequest::new(rec.tx, vm_ctx)
-            })
-            .collect();
-        let specs = ctx.cfg.exec.speculate(&self.world, &reqs);
-        debug_assert_eq!(specs.len(), reqs.len(), "engine dropped speculations");
-        self.stats.exec_speculated += specs.len() as u64;
-        let snapshot = self.write_clock;
-        for (tx, spec) in pending.into_iter().zip(specs) {
-            // a fresh speculation supersedes an earlier flushed one
-            self.stale_specs.remove(&tx);
-            self.spec_cache.insert(tx, CachedSpec { spec, snapshot });
-        }
-    }
-
-    /// Stamps a committed speculation's declared writes with a new write
-    /// version, invalidating cached speculations that depend on them.
-    fn note_spec_writes(&mut self, spec: &Speculation) {
-        self.write_clock += 1;
-        let v = self.write_clock;
-        for &r in spec.writes() {
-            self.write_versions.insert(r, v);
-        }
-    }
-
-    /// Stamps a conservative superset of a directly-executed
-    /// transaction's writes: the sender, every call endpoint, created
-    /// contracts, and the address allocator when anything was created.
-    fn note_receipt_writes(&mut self, rec: &TxRecord, receipt: &Receipt) {
-        self.write_clock += 1;
-        let v = self.write_clock;
-        let addrs = [rec.tx.from, rec.tx.to]
-            .into_iter()
-            .chain(receipt.calls.iter().flat_map(|c| [c.from, c.to]))
-            .chain(receipt.created.iter().copied());
-        for a in addrs {
-            if a != Address::ZERO {
-                self.write_versions.insert(Resource::Addr(a), v);
-            }
-        }
-        if !receipt.created.is_empty() {
-            self.write_versions.insert(Resource::Allocator, v);
-        }
-    }
-
-    /// Drops every cached speculation. Called on world mutations outside
-    /// the local execution path (2PC commit installs, migration state
-    /// movement), which are rare enough that wholesale invalidation
-    /// beats tracking their footprints. A no-op under the serial engine
-    /// (the maps stay empty).
-    fn flush_speculations(&mut self) {
-        self.stale_specs
-            .extend(self.spec_cache.drain().map(|(tx, _)| tx));
-        // with the cache empty, accumulated versions can never be
-        // consulted again: future speculations snapshot a later clock
-        self.write_versions.clear();
     }
 
     /// Occupies the execution unit with a migration batch's install
@@ -808,7 +635,6 @@ impl ShardWorker {
                         self.world.install_state(c, state);
                     }
                 }
-                self.flush_speculations();
                 for &(shard, ref addrs) in &rec.parts {
                     let writes: Vec<_> = addrs
                         .iter()
@@ -846,7 +672,6 @@ impl ShardWorker {
         for (a, state) in std::mem::take(&mut coord.shipped) {
             self.world.install_state(a, state);
         }
-        self.flush_speculations();
         self.locks.release(tx);
         for &(shard, _) in &rec.parts {
             out.push(Emit {

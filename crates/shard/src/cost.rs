@@ -45,10 +45,8 @@ pub enum CrossShardMode {
 /// let model = CostModel {
 ///     shard_capacity: 100.0,
 ///     mode: CrossShardMode::Coordinate { coordination_factor: 3.0 },
-///     ..CostModel::default()
 /// };
 /// assert!(model.shard_capacity > 0.0);
-/// assert_eq!(model.exec_lanes, 1.0); // serial execution by default
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -56,17 +54,6 @@ pub struct CostModel {
     pub shard_capacity: f64,
     /// How cross-shard transactions are handled.
     pub mode: CrossShardMode,
-    /// Intra-shard execution parallelism: the effective number of
-    /// concurrent execution lanes per shard (a Block-STM-style parallel
-    /// engine). Scales each shard's capacity; the unsharded baseline the
-    /// speed-up compares against stays a single serial machine. `1.0`
-    /// (the default) reproduces the serial model's numbers exactly;
-    /// fractional values express sub-linear scaling under conflicts
-    /// (e.g. `3.4` effective lanes from 4 physical ones). Degenerate
-    /// values (zero, negative, non-finite — including a zero from a
-    /// pre-field document) are treated as serial.
-    #[serde(default)]
-    pub exec_lanes: f64,
 }
 
 impl Default for CostModel {
@@ -76,7 +63,6 @@ impl Default for CostModel {
             mode: CrossShardMode::Coordinate {
                 coordination_factor: 3.0,
             },
-            exec_lanes: 1.0,
         }
     }
 }
@@ -93,23 +79,6 @@ pub struct WindowThroughput {
 }
 
 impl CostModel {
-    /// Sets the intra-shard parallelism factor (see
-    /// [`exec_lanes`](CostModel::exec_lanes)).
-    pub fn with_exec_lanes(mut self, lanes: f64) -> Self {
-        self.exec_lanes = lanes;
-        self
-    }
-
-    /// The sanitized lane factor: non-finite or non-positive values fall
-    /// back to serial execution.
-    fn lane_factor(&self) -> f64 {
-        if self.exec_lanes.is_finite() && self.exec_lanes > 0.0 {
-            self.exec_lanes
-        } else {
-            1.0
-        }
-    }
-
     /// Estimates one window's throughput from its recorded metrics.
     ///
     /// The load on the busiest shard is derived from the window's event
@@ -138,9 +107,7 @@ impl CostModel {
         // balance ∈ [1, k] scales the busiest shard's share of the work
         let balance = window.dynamic_balance.clamp(1.0, k as f64);
         let bottleneck_load = total_work / k as f64 * balance;
-        // each shard executes with `exec_lanes` effective lanes; the
-        // single-machine comparison below stays serial
-        let sustained = (self.shard_capacity * self.lane_factor() / bottleneck_load).min(1.0);
+        let sustained = (self.shard_capacity / bottleneck_load).min(1.0);
         // a single machine of the same capacity would sustain capacity/events
         let single = (self.shard_capacity / events).min(1.0);
         let speedup = if single == 0.0 {
@@ -203,7 +170,6 @@ mod tests {
             mode: CrossShardMode::Coordinate {
                 coordination_factor: 3.0,
             },
-            ..CostModel::default()
         };
         // zero cut, perfect balance, load beyond a single machine
         let t = model.window_throughput(&window(4_000, 0.0, 1.0), 4);
@@ -241,37 +207,17 @@ mod tests {
             mode: CrossShardMode::Coordinate {
                 coordination_factor: 1.0,
             },
-            ..CostModel::default()
         };
         let relocate = CostModel {
             shard_capacity: 1_000.0,
             mode: CrossShardMode::Relocate {
                 relocation_cost: 5.0,
             },
-            ..CostModel::default()
         };
         let w = window(1_000, 0.5, 1.0);
         let tc = coordinate.window_throughput(&w, 2);
         let tr = relocate.window_throughput(&w, 2);
         assert!(tr.bottleneck_load > tc.bottleneck_load);
-    }
-
-    #[test]
-    fn exec_lanes_scale_shard_capacity_but_not_the_baseline() {
-        let serial = CostModel::default();
-        let parallel = CostModel::default().with_exec_lanes(2.0);
-        // overloaded window: sustained < 1 under the serial model
-        let w = window(8_000, 0.1, 1.2);
-        let ts = serial.window_throughput(&w, 4);
-        let tp = parallel.window_throughput(&w, 4);
-        assert!(ts.sustained_fraction < 1.0);
-        assert!((tp.sustained_fraction - (ts.sustained_fraction * 2.0).min(1.0)).abs() < 1e-9);
-        assert!(tp.speedup > ts.speedup, "{} vs {}", tp.speedup, ts.speedup);
-        // bottleneck demand is a property of the partition, not the engine
-        assert_eq!(tp.bottleneck_load, ts.bottleneck_load);
-        // the default (and any degenerate factor) reproduces serial numbers
-        let degenerate = CostModel::default().with_exec_lanes(f64::NAN);
-        assert_eq!(degenerate.window_throughput(&w, 4), ts);
     }
 
     #[test]

@@ -37,14 +37,12 @@ fn main() {
         mode: CrossShardMode::Coordinate {
             coordination_factor: 3.0,
         },
-        ..CostModel::default()
     };
     let relocate = CostModel {
         shard_capacity: mean_events / 2.0,
         mode: CrossShardMode::Relocate {
             relocation_cost: 4.0,
         },
-        ..CostModel::default()
     };
 
     let mut table = Table::new(vec![

@@ -12,10 +12,8 @@
 //! blockpart profile  --scale 0.001 --shards 2,4   # stage → time self-profile
 //! blockpart study    --scenario "hub-burst[contracts=3]" --strategy tr-metis
 //! blockpart live     --scenario phase-shift        # hostile workload, live
-//! blockpart runtime  --exec "parallel[lanes=4]"    # Block-STM execution
 //! blockpart list-strategies
 //! blockpart list-scenarios
-//! blockpart list-engines
 //! blockpart help
 //! ```
 //!
@@ -25,10 +23,6 @@
 //! Adversarial workloads resolve the same way through the
 //! [`ScenarioRegistry`](blockpart::core::ScenarioRegistry) (`--scenario`),
 //! and `+` composes scenarios: `hub-burst[contracts=2]+dummy-spam`.
-//! Intra-shard execution engines resolve through the
-//! [`EngineRegistry`](blockpart::core::EngineRegistry) (`--exec`); every
-//! engine commits byte-identical results, so the flag changes measured
-//! speculation counters and wall-clock, never outcomes.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -39,8 +33,7 @@ use std::sync::Arc;
 
 use blockpart::core::ablation::{offline_partitioner_comparison, offline_table};
 use blockpart::core::{
-    run_profile, EngineRegistry, Experiment, ExperimentReport, ScenarioRegistry, ScenarioSpec,
-    StrategyRegistry,
+    run_profile, Experiment, ExperimentReport, ScenarioRegistry, ScenarioSpec, StrategyRegistry,
 };
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::graph::io::write_trace;
@@ -57,7 +50,8 @@ USAGE:
 
 COMMANDS:
     generate   synthesize a 30-month chain and write its trace
-               --scale <f64>   rate fraction        (default 0.0012)
+               --scale <f64>   fraction of the full chain's rate, in
+                               (0, 1]                (default 0.0012)
                --seed <u64>    generator seed        (default 42)
                --out <path>    trace file            (default trace.txt)
                --scenario <s>  overlay an adversarial workload scenario,
@@ -95,10 +89,6 @@ COMMANDS:
                --shards <k,..>   shard counts           (default 1,2,4)
                --latency-us <n>  one-way net latency    (default 1000)
                --arrival-us <n>  arrival gap / offered load (default 500)
-               --exec <e>        intra-shard execution engine,
-                                 `name[key=value;...]` — see list-engines
-                                 (default serial; results are
-                                 byte-identical across engines)
                --json            machine-readable ExperimentReport
                --trace <path>    Perfetto trace_event JSON (the replay's
                                  virtual-clock slice is deterministic)
@@ -116,8 +106,6 @@ COMMANDS:
                --window-hours <n> measurement window   (default 4)
                --latency-us <n>  one-way net latency   (default 1000)
                --arrival-us <n>  arrival gap / offered load (default 500)
-               --exec <e>        intra-shard execution engine (default
-                                 serial)
                --json            machine-readable MigrationReport
                --trace <path>    Perfetto trace_event JSON of the live
                                  session (virtual-clock, deterministic)
@@ -137,9 +125,6 @@ COMMANDS:
     list-scenarios
                print the registered adversarial scenarios and their
                parameters
-    list-engines
-               print the registered intra-shard execution engines and
-               their parameters
     help       print this message
 
 `--methods` and `--strategy` are accepted as aliases of `--strategies`.
@@ -151,16 +136,14 @@ const FLAG_OPTIONS: &[&str] = &["json", "no-obs", "no-replay"];
 fn main() -> ExitCode {
     let registry = StrategyRegistry::with_builtins();
     let scenarios = ScenarioRegistry::with_builtins();
-    let engines = EngineRegistry::with_builtins();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&registry, &scenarios, &engines, &args) {
+    match run(&registry, &scenarios, &args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
             eprintln!("STRATEGIES:\n{}", registry.help_table().render_ascii());
             eprintln!("SCENARIOS:\n{}", scenarios.help_table().render_ascii());
-            eprintln!("ENGINES:\n{}", engines.help_table().render_ascii());
             ExitCode::FAILURE
         }
     }
@@ -169,7 +152,6 @@ fn main() -> ExitCode {
 fn run(
     registry: &StrategyRegistry,
     scenarios: &ScenarioRegistry,
-    engines: &EngineRegistry,
     args: &[String],
 ) -> Result<(), String> {
     let Some(command) = args.first() else {
@@ -231,7 +213,6 @@ fn run(
                     "shards",
                     "latency-us",
                     "arrival-us",
-                    "exec",
                     "json",
                     "trace",
                     "metrics",
@@ -239,7 +220,7 @@ fn run(
                     "spill-dir",
                 ],
             )?;
-            cmd_runtime(registry, scenarios, engines, &opts)
+            cmd_runtime(registry, scenarios, &opts)
         }
         "live" => {
             ensure_known_options(
@@ -255,14 +236,13 @@ fn run(
                     "window-hours",
                     "latency-us",
                     "arrival-us",
-                    "exec",
                     "json",
                     "trace",
                     "mem-budget",
                     "spill-dir",
                 ],
             )?;
-            cmd_live(registry, scenarios, engines, &opts)
+            cmd_live(registry, scenarios, &opts)
         }
         "profile" => {
             ensure_known_options(
@@ -292,16 +272,10 @@ fn run(
             println!("{}", scenarios.help_table().render_ascii());
             Ok(())
         }
-        "list-engines" => {
-            ensure_known_options(&opts, "list-engines", &[])?;
-            println!("{}", engines.help_table().render_ascii());
-            Ok(())
-        }
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             println!("STRATEGIES:\n{}", registry.help_table().render_ascii());
             println!("SCENARIOS:\n{}", scenarios.help_table().render_ascii());
-            println!("ENGINES:\n{}", engines.help_table().render_ascii());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),
@@ -358,13 +332,16 @@ fn ensure_known_options(
     }
 }
 
+/// `--scale`: a fraction of the full chain's transaction rate, so in
+/// (0, 1]. Larger values would size the generator's allocations past
+/// what any machine holds.
 fn scale_of(opts: &HashMap<String, String>) -> Result<f64, String> {
     match opts.get("scale") {
         None => Ok(0.0012),
         Some(s) => s
             .parse::<f64>()
             .ok()
-            .filter(|&v| v > 0.0 && v.is_finite())
+            .filter(|&v| v > 0.0 && v <= 1.0)
             .ok_or_else(|| format!("invalid --scale `{s}`")),
     }
 }
@@ -452,18 +429,6 @@ fn storage_of(opts: &HashMap<String, String>) -> Result<StorageBackend, String> 
             }
         },
         (None, None) => Ok(StorageBackend::from_env()),
-    }
-}
-
-/// Resolves `--exec` (a `name[key=value;...]` spec) through the engine
-/// registry; `None` means each strategy's default (the serial engine).
-fn exec_of(
-    engines: &EngineRegistry,
-    opts: &HashMap<String, String>,
-) -> Result<Option<blockpart::ethereum::ExecHandle>, String> {
-    match opts.get("exec") {
-        None => Ok(None),
-        Some(spec) => engines.resolve(spec).map(Some).map_err(|e| e.to_string()),
     }
 }
 
@@ -672,21 +637,19 @@ fn micros_of(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<
 fn cmd_runtime(
     registry: &StrategyRegistry,
     scenarios: &ScenarioRegistry,
-    engines: &EngineRegistry,
     opts: &HashMap<String, String>,
 ) -> Result<(), String> {
     // validate all options before the (expensive) generation
     let spec = strategy_spec_of(opts, "hash,metis")?;
     registry.resolve_list(spec).map_err(|e| e.to_string())?;
     let scenario = scenario_of(scenarios, opts)?;
-    let exec = exec_of(engines, opts)?;
     let shards = shards_of(opts, &[1, 2, 4])?;
     let seed = seed_of(opts)?;
     let latency_us = micros_of(opts, "latency-us", 1_000)?;
     let arrival_us = micros_of(opts, "arrival-us", 500)?;
     let storage = storage_of(opts)?;
     let chain = generate(opts, scenario.as_ref())?;
-    let mut experiment = Experiment::over_chain(&chain)
+    let report = Experiment::over_chain(&chain)
         .named_strategies(registry, spec)
         .map_err(|e| e.to_string())?
         .shard_counts(shards.clone())
@@ -696,11 +659,8 @@ fn cmd_runtime(
         .net_latency_us(latency_us)
         .inter_arrival_us(arrival_us)
         .storage(storage)
-        .trace(tracing_requested(opts));
-    if let Some(engine) = exec {
-        experiment = experiment.with_exec(engine);
-    }
-    let report = experiment.run();
+        .trace(tracing_requested(opts))
+        .run();
     print_report(&report, json_of(opts), true);
     if tracing_requested(opts) {
         // virtual-only: the exported replay trace is deterministic.
@@ -731,14 +691,12 @@ fn cmd_runtime(
 fn cmd_live(
     registry: &StrategyRegistry,
     scenarios: &ScenarioRegistry,
-    engines: &EngineRegistry,
     opts: &HashMap<String, String>,
 ) -> Result<(), String> {
     // validate all options before the (expensive) generation
     let spec_str = opts.get("strategy").map_or("tr-metis", String::as_str);
     let spec = registry.resolve(spec_str).map_err(|e| e.to_string())?;
     let scenario = scenario_of(scenarios, opts)?;
-    let exec = exec_of(engines, opts)?;
     let k = match (opts.get("k"), opts.get("shards")) {
         (Some(_), Some(_)) => return Err("both --k and --shards given; use one".into()),
         (None, None) => ShardCount::new(4).expect("non-zero"),
@@ -772,9 +730,6 @@ fn cmd_live(
         .with_net_latency_us(latency_us)
         .with_inter_arrival_us(arrival_us);
     runtime_cfg.k = k;
-    if let Some(engine) = exec {
-        runtime_cfg = runtime_cfg.with_exec(engine);
-    }
     // with a spill backend, migration batches serialize through the
     // on-disk account-state spool (removed on success, kept on failure)
     let mut session = None;
@@ -914,24 +869,25 @@ mod tests {
         assert_eq!(seed_of(&o).unwrap(), 42);
         assert!(scale_of(&opts(&[("scale", "-1")])).is_err());
         assert!(seed_of(&opts(&[("seed", "x")])).is_err());
-        // a non-finite scale would overflow the generator's allocations
-        for bad in ["inf", "-inf", "NaN"] {
+        // only a fraction of the full chain is a scale; past it the
+        // generator's allocations overflow
+        for bad in ["inf", "-inf", "NaN", "0", "1e300", "1e6", "1.5"] {
             let err = scale_of(&opts(&[("scale", bad)])).unwrap_err();
             assert_eq!(err, format!("invalid --scale `{bad}`"));
         }
+        assert_eq!(scale_of(&opts(&[("scale", "1")])).unwrap(), 1.0);
     }
 
     #[test]
     fn window_hours_must_fit_in_seconds() {
         let registry = StrategyRegistry::with_builtins();
         let scenarios = ScenarioRegistry::with_builtins();
-        let engines = EngineRegistry::with_builtins();
         let live = |hours: &str| {
             let args: Vec<String> = ["live", "--window-hours", hours]
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-            run(&registry, &scenarios, &engines, &args).unwrap_err()
+            run(&registry, &scenarios, &args).unwrap_err()
         };
         let max = u64::MAX.to_string();
         assert_eq!(live(&max), format!("invalid --window-hours `{max}`"));
@@ -988,17 +944,22 @@ mod tests {
     fn unknown_command_errors() {
         let registry = StrategyRegistry::with_builtins();
         let scenarios = ScenarioRegistry::with_builtins();
-        let engines = EngineRegistry::with_builtins();
-        let err = run(&registry, &scenarios, &engines, &["frobnicate".to_string()]).unwrap_err();
-        assert!(err.contains("frobnicate"), "{err}");
-        assert!(run(&registry, &scenarios, &engines, &[]).is_err());
+        let run_args = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            run(&registry, &scenarios, &args).unwrap_err()
+        };
+        for command in ["frobnicate", "list-engines"] {
+            assert_eq!(run_args(&[command]), format!("unknown command `{command}`"));
+        }
+        assert!(run(&registry, &scenarios, &[]).is_err());
         // unknown option on a valid command names the token
-        let args: Vec<String> = ["study", "--frob", "1"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = run(&registry, &scenarios, &engines, &args).unwrap_err();
-        assert!(err.contains("--frob"), "{err}");
+        for (command, option) in [("study", "--frob"), ("runtime", "--exec")] {
+            let err = run_args(&[command, option, "serial"]);
+            assert!(
+                err.starts_with(&format!("unknown option `{option}` for `{command}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,6 @@ fn cost_model_prefers_better_partitioning() {
         mode: CrossShardMode::Coordinate {
             coordination_factor: 3.0,
         },
-        ..CostModel::default()
     };
     let hash = model.run_summary(result.offline("hash", k).expect("ran"), 4);
     let metis = model.run_summary(result.offline("metis", k).expect("ran"), 4);
