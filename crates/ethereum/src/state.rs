@@ -1,6 +1,7 @@
 //! The world state: accounts, contracts, balances and storage.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use blockpart_types::{AccountKind, Address, Wei};
 use serde::{Deserialize, Serialize};
@@ -25,7 +26,13 @@ pub struct ContractState {
     pub program: Program,
     /// Key/value storage (the paper's point: moving a contract between
     /// shards relocates all of this).
-    pub storage: HashMap<u64, u64>,
+    ///
+    /// Copy-on-write: cloning a `ContractState` (a snapshot from
+    /// [`World::export_state`], say) shares the map, and every write goes
+    /// through [`storage_mut`](Self::storage_mut), which copies it first
+    /// if anyone else still holds it. A snapshot and its source therefore
+    /// never see each other's writes.
+    pub storage: Arc<HashMap<u64, u64>>,
     /// Current ether balance.
     pub balance: Wei,
     /// Who created the contract.
@@ -37,6 +44,13 @@ impl ContractState {
     /// measure of contract state size.
     pub fn storage_size(&self) -> usize {
         self.storage.len()
+    }
+
+    /// Mutable access to the storage map: the one write path. Copies the
+    /// map first when it is shared with another snapshot, so the write
+    /// stays private to this `ContractState`.
+    pub fn storage_mut(&mut self) -> &mut HashMap<u64, u64> {
+        Arc::make_mut(&mut self.storage)
     }
 }
 
@@ -122,7 +136,7 @@ impl World {
         arg: u64,
     ) -> Address {
         let address = self.allocate_address();
-        let storage = template.initial_storage(arg).into_iter().collect();
+        let storage = Arc::new(template.initial_storage(arg).into_iter().collect());
         self.contracts.insert(
             address,
             ContractState {
@@ -205,7 +219,9 @@ impl World {
 
     /// Extracts a portable snapshot of one address's state, if the world
     /// knows the address. Used by the sharded runtime to ship state
-    /// between shards during two-phase commit.
+    /// between shards during two-phase commit. A contract's storage is
+    /// shared with the snapshot, not copied (see
+    /// [`ContractState::storage`]).
     pub fn export_state(&self, address: Address) -> Option<AddressState> {
         if let Some(c) = self.contracts.get(&address) {
             Some(AddressState::Contract(c.clone()))
@@ -281,7 +297,7 @@ impl World {
         self.contracts
             .get_mut(&contract)
             .expect("storage write outside a contract")
-            .storage
+            .storage_mut()
             .insert(key, value);
     }
 
@@ -406,6 +422,36 @@ mod tests {
         assert!(!w.is_contract(c));
         w.install_state(c, cs);
         assert!(w.is_contract(c));
+    }
+
+    #[test]
+    fn snapshots_and_their_source_never_share_writes() {
+        let mut source = World::new();
+        let u = source.new_user(Wei::ZERO);
+        let c = source.create_contract(ContractTemplate::Registry, u, 0);
+        source.storage_store(c, 1, 10);
+        let snapshot = source.export_state(c).expect("contract state");
+        let AddressState::Contract(shipped) = &snapshot else {
+            panic!("exported a contract")
+        };
+
+        // a write on the source leaves the exported snapshot as it was
+        source.storage_store(c, 1, 11);
+        source.storage_store(c, 2, 20);
+        assert_eq!(shipped.storage.get(&1), Some(&10));
+        assert_eq!(shipped.storage_size(), 1);
+
+        // a world that installed the snapshot writes its own copy only
+        let mut other = World::new();
+        other.install_state(c, snapshot.clone());
+        other.storage_store(c, 1, 12);
+        other.storage_store(c, 3, 30);
+        assert_eq!(other.storage_load(c, 1), 12);
+        assert_eq!(source.storage_load(c, 1), 11);
+        assert_eq!(source.storage_load(c, 3), 0);
+        assert_eq!(source.contract(c).unwrap().storage_size(), 2);
+        assert_eq!(shipped.storage.get(&1), Some(&10));
+        assert_eq!(shipped.storage_size(), 1);
     }
 
     #[test]

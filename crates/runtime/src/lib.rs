@@ -14,9 +14,13 @@
 //! The engine is a deterministic discrete-event simulation. Events live
 //! in one virtual-time queue ([`clock::EventQueue`]); every batch of
 //! same-instant events is split by shard and executed by per-shard
-//! workers in parallel threads. Workers touch only their own state and
-//! communicate exclusively through returned events, so the result is
-//! bit-identical across runs and thread schedules.
+//! workers. A batch runs on one thread per shard only when it carries
+//! at least [`RuntimeConfig::parallel_batch_threshold`] (default 32)
+//! events and touches more than one shard; smaller batches, which is
+//! nearly all of them, run serially on the calling thread. Workers touch
+//! only their own state and communicate exclusively through emitted
+//! events, so the result is bit-identical across runs and thread
+//! schedules.
 //!
 //! # Examples
 //!
@@ -359,10 +363,7 @@ impl ShardedRuntime {
             },
         };
 
-        let mut queue = EventQueue::new();
-        for (i, rec) in records.iter().enumerate() {
-            queue.push(rec.arrival_us, rec.home, Event::Arrival(TxId(i as u32)));
-        }
+        let mut queue = arrivals_of(&records);
         drive(&mut workers, &mut queue, &ctx);
 
         // merge worker trace buffers in shard order, then time-sort:
@@ -520,19 +521,38 @@ fn payload_record(
     global_index: u64,
     arrival_us: Micros,
 ) -> TxRecord {
-    let mut parts: BTreeMap<ShardId, Vec<Address>> = BTreeMap::new();
+    // a footprint spans a handful of shards, so a linear scan beats a
+    // map; there is at most one part per address and per shard
+    let mut parts: Vec<(ShardId, Vec<Address>)> =
+        Vec::with_capacity(e.touched.len().min(usize::from(cfg.k.get())));
     for &a in &e.touched {
-        parts.entry(assignment.shard_of(a)).or_default().push(a);
+        let shard = assignment.shard_of(a);
+        match parts.iter_mut().find(|(s, _)| *s == shard) {
+            Some((_, addrs)) => addrs.push(a),
+            None => parts.push((shard, vec![a])),
+        }
     }
+    parts.sort_unstable_by_key(|&(s, _)| s);
     TxRecord {
         arrival_us,
         block_time: e.time,
         tx: e.tx,
         home: assignment.shard_of(e.tx.from),
-        parts: parts.into_iter().collect(),
+        parts,
         entropy: mix64(cfg.seed ^ global_index),
         kind: TxKind::Payload,
     }
+}
+
+/// The event queue of a run over `records`: one arrival per record, at
+/// its arrival time on its home shard.
+fn arrivals_of(records: &[TxRecord]) -> EventQueue {
+    EventQueue::with_arrivals(
+        records
+            .iter()
+            .enumerate()
+            .map(|(i, rec)| (rec.arrival_us, rec.home, TxId(i as u32))),
+    )
 }
 
 /// Runs the discrete-event loop until the queue drains, dispatching each
@@ -540,45 +560,45 @@ fn payload_record(
 /// thread per shard, gated by `parallel_batch_threshold`) and merging
 /// the emitted events back in shard order. Returns the virtual time of
 /// the last processed batch. Shared by one-shot runs and live sessions.
+///
+/// The batch, the per-shard buckets and the per-shard emit buffers are
+/// allocated once per call and reused by every batch.
 fn drive(workers: &mut [ShardWorker], queue: &mut EventQueue, ctx: &Ctx<'_>) -> Micros {
     let k = workers.len();
     let mut last_now = 0;
-    while let Some((now, batch)) = queue.pop_batch() {
+    let mut batch = Vec::new();
+    let mut buckets: Vec<Vec<Event>> = (0..k).map(|_| Vec::new()).collect();
+    let mut outs: Vec<Vec<shard_worker::Emit>> = (0..k).map(|_| Vec::new()).collect();
+    while let Some(now) = queue.pop_batch_into(&mut batch) {
         last_now = now;
-        let mut buckets: Vec<Vec<Event>> = vec![Vec::new(); k];
         let batch_len = batch.len();
-        for (shard, event) in batch {
+        for (shard, event) in batch.drain(..) {
             buckets[shard.as_usize()].push(event);
         }
         let active = buckets.iter().filter(|b| !b.is_empty()).count();
-        let mut outs: Vec<Vec<shard_worker::Emit>> = Vec::new();
-        outs.resize_with(k, Vec::new);
+        let lanes = workers.iter_mut().zip(&mut buckets).zip(&mut outs);
         // threads only pay off when a batch carries real work: typical
         // message batches are 2-3 events of microsecond bookkeeping,
         // which thread spawn/join would dwarf
         if active <= 1 || batch_len < ctx.cfg.parallel_batch_threshold {
-            for (slot, (worker, events)) in outs.iter_mut().zip(workers.iter_mut().zip(buckets)) {
+            for ((worker, events), out) in lanes {
                 if !events.is_empty() {
-                    *slot = worker.handle_batch(now, events, ctx);
+                    worker.handle_batch(now, events, ctx, out);
                 }
             }
         } else {
             crossbeam::thread::scope(|scope| {
-                for (slot, (worker, events)) in outs.iter_mut().zip(workers.iter_mut().zip(buckets))
-                {
-                    if events.is_empty() {
-                        continue;
+                for ((worker, events), out) in lanes {
+                    if !events.is_empty() {
+                        scope.spawn(move |_| worker.handle_batch(now, events, ctx, out));
                     }
-                    scope.spawn(move |_| {
-                        *slot = worker.handle_batch(now, events, ctx);
-                    });
                 }
             })
             .expect("shard worker panicked");
         }
         // merge in shard order: deterministic sequence numbering
-        for emits in outs {
-            for e in emits {
+        for out in &mut outs {
+            for e in out.drain(..) {
                 debug_assert!(e.at >= now, "event scheduled in the past");
                 queue.push(e.at, e.shard, e.event);
             }

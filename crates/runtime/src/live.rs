@@ -37,11 +37,11 @@ use blockpart_shard::AssignmentDelta;
 use blockpart_types::{Address, ShardId, Timestamp};
 use serde::{Deserialize, Serialize};
 
-use crate::clock::{EventQueue, Micros};
-use crate::event::{Event, TxId};
+use crate::clock::Micros;
+use crate::event::TxId;
 use crate::net::NetworkModel;
 use crate::shard_worker::{Ctx, ShardWorker, TxKind, TxRecord};
-use crate::{drive, payload_record, Assignment, Detail, RuntimeConfig, RuntimeReport};
+use crate::{arrivals_of, drive, payload_record, Assignment, Detail, RuntimeConfig, RuntimeReport};
 
 /// Batching and pacing of live state migration.
 ///
@@ -314,10 +314,7 @@ impl LiveSession {
                 latency_us: self.cfg.net_latency_us,
             },
         };
-        let mut queue = EventQueue::new();
-        for (i, rec) in records.iter().enumerate() {
-            queue.push(rec.arrival_us, rec.home, Event::Arrival(TxId(i as u32)));
-        }
+        let mut queue = arrivals_of(&records);
         let last = drive(&mut self.workers, &mut queue, &ctx);
         let end = last.max(start);
         self.clock_us = end + self.cfg.inter_arrival_us;

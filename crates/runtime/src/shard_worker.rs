@@ -3,9 +3,12 @@
 //! the coordinator state of the cross-shard transactions homed here.
 //!
 //! Workers only mutate their own state; all inter-shard effects travel as
-//! [`Message`]s returned from [`ShardWorker::handle_batch`], which the
-//! engine schedules through the shared event clock. That isolation is
-//! what lets the engine run one thread per shard and stay deterministic.
+//! [`Message`]s that [`ShardWorker::handle_batch`] appends to a
+//! caller-owned emit buffer, which the engine drains into the shared
+//! event clock. That isolation is what lets the engine run one thread
+//! per shard and stay deterministic. The engine keeps one input and one
+//! emit buffer per worker for the whole run and reuses them for every
+//! batch.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -173,20 +176,25 @@ impl ShardWorker {
         self.running.is_none() && self.queue.is_empty() && self.coords.is_empty()
     }
 
-    /// Processes this shard's slice of one same-instant event batch and
-    /// returns the events to schedule in response.
-    pub fn handle_batch(&mut self, now: Micros, events: Vec<Event>, ctx: &Ctx<'_>) -> Vec<Emit> {
-        let mut out = Vec::new();
-        for event in events {
+    /// Processes this shard's slice of one same-instant event batch,
+    /// draining `events`, and appends the events to schedule in response
+    /// to `out`.
+    pub fn handle_batch(
+        &mut self,
+        now: Micros,
+        events: &mut Vec<Event>,
+        ctx: &Ctx<'_>,
+        out: &mut Vec<Emit>,
+    ) {
+        for event in events.drain(..) {
             match event {
-                Event::Arrival(tx) => self.on_arrival(tx, now, ctx, &mut out),
-                Event::Net(msg) => self.on_message(msg, now, ctx, &mut out),
-                Event::ExecDone(tx) => self.on_exec_done(tx, now, ctx, &mut out),
-                Event::Retry(tx) => self.start_prepare_round(tx, now, ctx, &mut out),
+                Event::Arrival(tx) => self.on_arrival(tx, now, ctx, out),
+                Event::Net(msg) => self.on_message(msg, now, ctx, out),
+                Event::ExecDone(tx) => self.on_exec_done(tx, now, ctx, out),
+                Event::Retry(tx) => self.start_prepare_round(tx, now, ctx, out),
             }
         }
-        self.pump(now, ctx, &mut out);
-        out
+        self.pump(now, ctx, out);
     }
 
     fn on_arrival(&mut self, tx: TxId, now: Micros, ctx: &Ctx<'_>, out: &mut Vec<Emit>) {
@@ -338,10 +346,10 @@ impl ShardWorker {
         let attempt = coord.attempt;
         // a round that lost the lock race retries; the terminal attempt
         // drops the transaction instead
-        let cause = if attempt >= ctx.cfg.max_attempts {
-            "retry-exhausted"
+        let (cause, counter) = if attempt >= ctx.cfg.max_attempts {
+            ("retry-exhausted", "aborts/retry-exhausted")
         } else {
-            "lock-conflict"
+            ("lock-conflict", "aborts/lock-conflict")
         };
         *self.stats.abort_causes.entry(cause).or_insert(0) += 1;
         if self.obs.events() {
@@ -353,11 +361,7 @@ impl ShardWorker {
                     .with_arg("cause", cause),
             );
         }
-        if self.obs.enabled() {
-            // the two cause names are fixed, so the format! amortizes to
-            // a registry hit after the first abort of each cause
-            self.obs.add(&format!("aborts/{cause}"), 1);
-        }
+        self.obs.add(counter, 1);
         for shard in locked {
             out.push(Emit {
                 at: now + ctx.net.delay(self.id, shard),
@@ -598,14 +602,10 @@ impl ShardWorker {
     /// divergence between the canonical access list and what the sharded
     /// re-execution actually did.
     fn note_strays(&mut self, rec: &TxRecord, receipt: &Receipt) {
-        let declared: Vec<Address> = rec
-            .parts
-            .iter()
-            .flat_map(|(_, a)| a.iter().copied())
-            .collect();
+        let declared = |a: Address| rec.parts.iter().any(|(_, addrs)| addrs.contains(&a));
         for call in &receipt.calls {
             for a in [call.from, call.to] {
-                if a != Address::ZERO && !declared.contains(&a) {
+                if a != Address::ZERO && !declared(a) {
                     self.stats.stray_touches += 1;
                 }
             }

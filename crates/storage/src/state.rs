@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use blockpart_ethereum::{AccountState, AddressState, ContractState, ContractTemplate};
 use blockpart_types::{Address, Wei};
@@ -173,7 +174,7 @@ impl AccountStateStore {
                 Ok(Some(AddressState::Contract(ContractState {
                     template,
                     program: template.program(),
-                    storage,
+                    storage: Arc::new(storage),
                     balance,
                     creator: Address::from_bytes(creator_bytes),
                 })))

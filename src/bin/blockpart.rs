@@ -87,8 +87,10 @@ COMMANDS:
                serializes through an on-disk account-state spool)
                --strategies <s,..>  (default hash,metis)
                --shards <k,..>   shard counts           (default 1,2,4)
-               --latency-us <n>  one-way net latency    (default 1000)
-               --arrival-us <n>  arrival gap / offered load (default 500)
+               --latency-us <n>  one-way net latency, 0..=60000000
+                                                        (default 1000)
+               --arrival-us <n>  arrival gap / offered load,
+                                 0..=60000000           (default 500)
                --json            machine-readable ExperimentReport
                --trace <path>    Perfetto trace_event JSON (the replay's
                                  virtual-clock slice is deterministic)
@@ -104,8 +106,10 @@ COMMANDS:
                                                       (default tr-metis)
                --k <n>           shard count           (default 4)
                --window-hours <n> measurement window   (default 4)
-               --latency-us <n>  one-way net latency   (default 1000)
-               --arrival-us <n>  arrival gap / offered load (default 500)
+               --latency-us <n>  one-way net latency, 0..=60000000
+                                                       (default 1000)
+               --arrival-us <n>  arrival gap / offered load,
+                                 0..=60000000          (default 500)
                --json            machine-readable MigrationReport
                --trace <path>    Perfetto trace_event JSON of the live
                                  session (virtual-clock, deterministic)
@@ -627,10 +631,27 @@ fn cmd_offline(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn micros_of(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+/// The longest `--latency-us` or `--arrival-us` accepted: one minute of
+/// virtual time, 60,000× the default latency. The virtual clock adds and
+/// multiplies these in `u64`, so far larger values wrap around.
+const MAX_MICROS: u64 = 60_000_000;
+
+fn u64_of(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
     match opts.get(key) {
         None => Ok(default),
         Some(s) => s.parse().map_err(|_| format!("invalid --{key} `{s}`")),
+    }
+}
+
+/// A virtual-clock duration in `0..=MAX_MICROS`.
+fn micros_of(opts: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+    match opts.get(key) {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&us| us <= MAX_MICROS)
+            .ok_or_else(|| format!("invalid --{key} `{s}`")),
     }
 }
 
@@ -707,7 +728,7 @@ fn cmd_live(
             .and_then(ShardCount::new)
             .ok_or_else(|| format!("invalid shard count `{s}`"))?,
     };
-    let window_hours = micros_of(opts, "window-hours", 4)?;
+    let window_hours = u64_of(opts, "window-hours", 4)?;
     if window_hours == 0 {
         return Err("--window-hours must be positive".into());
     }

@@ -1,7 +1,9 @@
 //! The `blockpart` binary end to end: a `--scale` outside (0, 1] is an
 //! error that names the value, raised before any generation starts (a
 //! huge scale once panicked on a capacity overflow or aborted on a
-//! multi-gigabyte allocation).
+//! multi-gigabyte allocation). So is a `--latency-us` or `--arrival-us`
+//! above one minute (a huge one once wrapped the virtual clock and
+//! reported nonsense).
 
 use std::process::Command;
 
@@ -29,5 +31,48 @@ fn out_of_range_scale_is_rejected_before_generation() {
                 "{command:?} --scale {scale}: {stderr}"
             );
         }
+    }
+}
+
+#[test]
+fn out_of_range_micros_are_rejected_before_generation() {
+    let max = u64::MAX.to_string();
+    for command in ["runtime", "live"] {
+        for flag in ["--latency-us", "--arrival-us"] {
+            for value in [max.as_str(), "60000001"] {
+                let output = Command::new(env!("CARGO_BIN_EXE_blockpart"))
+                    .args([command, flag, value])
+                    .output()
+                    .expect("blockpart runs");
+                let stderr = String::from_utf8_lossy(&output.stderr);
+                assert!(!output.status.success(), "{command} {flag} {value}");
+                assert!(
+                    stderr.starts_with(&format!("error: invalid {flag} `{value}`\n")),
+                    "{command} {flag} {value}: {stderr}"
+                );
+            }
+        }
+        // one minute is the largest accepted value of both flags
+        let output = Command::new(env!("CARGO_BIN_EXE_blockpart"))
+            .args([
+                command,
+                "--latency-us",
+                "60000000",
+                "--arrival-us",
+                "60000000",
+            ])
+            .args(["--scale", "0.00001"])
+            .args(match command {
+                "runtime" => ["--strategies", "hash", "--shards", "2"],
+                _ => ["--strategy", "hash", "--k", "2"],
+            })
+            .output()
+            .expect("blockpart runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{command} at one minute: {stderr}");
+        assert!(
+            stderr.starts_with("generating 30-month history"),
+            "{command} at one minute: {stderr}"
+        );
     }
 }

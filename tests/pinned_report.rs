@@ -4,11 +4,19 @@
 //! bytes identical; unlike the determinism tests, which only compare the
 //! code with itself, this compares it with recorded values. A change that
 //! alters partitions on purpose re-records them.
+//!
+//! Two more pins cover the virtual-clock traces of the 2PC runtime: the
+//! reports only aggregate, while a trace records every prepare, vote,
+//! commit and execution span in event order, so a change to the event
+//! loop's ordering shows up here first.
 
 use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::ethereum::SyntheticChain;
-use blockpart::types::ShardCount;
+use blockpart::live::{LiveConfig, LiveRunner};
+use blockpart::obs::{perfetto::to_perfetto, Trace};
+use blockpart::runtime::{Assignment, RuntimeConfig, ShardedRuntime};
+use blockpart::types::{Duration, ShardCount};
 
 fn chain() -> &'static SyntheticChain {
     static CHAIN: std::sync::OnceLock<SyntheticChain> = std::sync::OnceLock::new();
@@ -25,14 +33,23 @@ fn experiment(specs: &str) -> Experiment<'static> {
         .expect("built-in strategies resolve")
 }
 
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the report's compact JSON.
 fn fingerprint(report: &ExperimentReport) -> u64 {
-    report
-        .to_json()
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        })
+    fnv1a(report.to_json().bytes())
+}
+
+/// FNV-1a over the trace's Perfetto JSON followed by its metrics dump.
+fn trace_fingerprint(trace: &Trace) -> u64 {
+    let perfetto = to_perfetto(trace).render();
+    let metrics = trace.metrics_text();
+    fnv1a(perfetto.bytes().chain(metrics.bytes()))
 }
 
 #[test]
@@ -64,4 +81,39 @@ fn live_report_is_pinned() {
         .live(true)
         .run();
     assert_eq!(fingerprint(&report), 0x0ed9_d2ee_5b27_6dd6);
+}
+
+#[test]
+fn replay_trace_is_pinned() {
+    let chain = chain();
+    let runtime = ShardedRuntime::new(RuntimeConfig::new(k(2)), Assignment::hashed(k(2)));
+    let (report, trace) = runtime.run_traced(chain.chain.world(), &chain.txs);
+    assert!(report.prepare_rounds > 0, "the pin must cover 2PC rounds");
+    assert_eq!(trace_fingerprint(&trace), 0xae7e_ff52_b310_f024);
+}
+
+#[test]
+fn live_trace_is_pinned() {
+    // TR-METIS's default two-week refractory period outlasts this
+    // 14-day chain; a one-day interval lets the trigger fire
+    let spec = StrategyRegistry::with_builtins()
+        .resolve("tr-metis[interval=1]")
+        .expect("built-in strategy resolves");
+    let window = Duration::hours(4);
+    let sim_cfg = spec.simulator_config(k(2));
+    let depth = (sim_cfg.scope_window.as_secs() / window.as_secs()).max(1) as usize;
+    let cfg = LiveConfig::new(k(2))
+        .with_window(window)
+        .with_depth(depth)
+        .with_policy(sim_cfg.policy)
+        .with_runtime(spec.runtime_config(k(2)).with_seed(23))
+        .with_tracing(true);
+    let chain = chain();
+    let run = LiveRunner::new(cfg, spec.build_partitioner(23)).run(chain.chain.world(), &chain.txs);
+    // paced migration arrivals are part of what the pin covers
+    assert!(run.report.migrations() >= 1, "{}", run.report.headline());
+    assert_eq!(
+        trace_fingerprint(&run.session.finish()),
+        0x9dc9_4f3b_d0b7_6089
+    );
 }
