@@ -161,19 +161,10 @@ fn main() -> ExitCode {
     }
     println!("wrote {} ({} stages)", options.out, report.stages.len());
 
-    for (label, strategy, k) in [
-        ("graph-build", None, None),
-        ("csr", None, None),
-        (
-            "kway",
-            Some("metis"),
-            report.config.shard_counts.first().copied(),
-        ),
-    ] {
-        if let Some(speedup) = report.speedup(label, strategy, k) {
+    for label in ["graph-build", "csr"] {
+        if let Some(speedup) = report.speedup(label) {
             println!(
-                "{label}{} speedup: {speedup:.2}x ({} workers)",
-                k.map(|k| format!(" k={k}")).unwrap_or_default(),
+                "{label} speedup: {speedup:.2}x ({} workers)",
                 report.workers_resolved,
             );
         }

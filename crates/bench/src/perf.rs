@@ -18,12 +18,13 @@
 //! the migration path, not timer noise; [`compare_calibrated`] leaves
 //! them unscaled (see [`is_virtual_stage`]).
 //!
-//! The hot stages are measured twice, once pinned to one worker and once
-//! at the configured worker count, so the parallel speedup is part of
-//! the recorded data (`graph-build-serial` vs `graph-build`, `csr-serial`
-//! vs `csr`, `kway-serial` vs `kway`). All parallel paths are
+//! Graph build and CSR symmetrization are measured twice, once pinned to
+//! one worker and once at the configured worker count, so the parallel
+//! speedup is part of the recorded data (`graph-build-serial` vs
+//! `graph-build`, `csr-serial` vs `csr`). Both parallel paths are
 //! deterministic in their worker count, so the two rows of each pair
-//! time *the same computation*.
+//! time *the same computation*. The `kway` row times the multilevel
+//! partitioner's default configuration, which runs on one thread.
 //!
 //! The `scenario-*` stages score hostile workloads from the
 //! [`ScenarioRegistry`] (see
@@ -211,9 +212,9 @@ impl PerfReport {
 
     /// The parallel speedup of a serial/parallel stage pair, when both
     /// rows exist (`> 1` means the parallel row was faster).
-    pub fn speedup(&self, stage: &str, strategy: Option<&str>, k: Option<u16>) -> Option<f64> {
-        let serial = self.find(&format!("{stage}-serial"), strategy, k)?;
-        let parallel = self.find(stage, strategy, k)?;
+    pub fn speedup(&self, stage: &str) -> Option<f64> {
+        let serial = self.find(&format!("{stage}-serial"), None, None)?;
+        let parallel = self.find(stage, None, None)?;
         (parallel.median_ms > 0.0).then(|| serial.median_ms / parallel.median_ms)
     }
 
@@ -629,30 +630,15 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     }
     ooc.finish().expect("remove spill session");
 
-    // ---- multilevel coarsen+partition kernel: serial vs parallel -------
+    // ---- multilevel coarsen+partition kernel ---------------------------
+    let multilevel = MultilevelConfig {
+        seed: config.seed,
+        ..MultilevelConfig::default()
+    };
     for &k in &config.shard_counts {
         let shard_count = ShardCount::new(k).expect("non-zero shard count");
-        let serial = MultilevelConfig {
-            seed: config.seed,
-            threads: 1,
-            ..MultilevelConfig::default()
-        };
-        let parallel = MultilevelConfig {
-            threads: workers,
-            ..serial
-        };
         let (ms, _) = time_stage(config.warmup, config.trials, || {
-            kway(&csr, shard_count, &serial)
-        });
-        push(
-            "kway-serial",
-            Some("metis"),
-            Some(k),
-            ms,
-            throughput(csr.node_count(), ms),
-        );
-        let (ms, _) = time_stage(config.warmup, config.trials, || {
-            kway(&csr, shard_count, &parallel)
+            kway(&csr, shard_count, &multilevel)
         });
         push(
             "kway",
@@ -1094,8 +1080,8 @@ mod tests {
             stage("graph-build-serial", None, None, 10.0),
             stage("graph-build", None, None, 4.0),
         ]);
-        assert_eq!(report.speedup("graph-build", None, None), Some(2.5));
-        assert_eq!(report.speedup("csr", None, None), None);
+        assert_eq!(report.speedup("graph-build"), Some(2.5));
+        assert_eq!(report.speedup("csr"), None);
     }
 
     #[test]

@@ -86,6 +86,24 @@ impl SpanParams {
     }
 }
 
+/// Largest accepted `intensity`: 33× the largest built-in default
+/// (`nft-mint`'s 3.0). Far larger values make the injectors request
+/// more transactions than memory holds.
+const MAX_INTENSITY: f64 = 100.0;
+
+/// The `intensity` parameter, or `default` when absent. Values outside
+/// `[0, MAX_INTENSITY]` are errors.
+fn intensity(params: &StrategyParams, default: f64) -> Result<f64, StrategyError> {
+    let x = params.f64("intensity")?.unwrap_or(default);
+    if (0.0..=MAX_INTENSITY).contains(&x) {
+        return Ok(x);
+    }
+    Err(StrategyError::new(format!(
+        "parameter `intensity`: `{}` is outside [0, {MAX_INTENSITY}]",
+        params.get("intensity").unwrap_or_default()
+    )))
+}
+
 /// Which built-in workload a [`BuiltinScenario`] emits.
 #[derive(Clone, Copy, Debug)]
 enum ScenarioKind {
@@ -288,7 +306,7 @@ impl ScenarioRegistry {
                     label: label_of("hub-burst", params),
                     kind: ScenarioKind::HubBurst {
                         contracts: params.usize("contracts")?.unwrap_or(3),
-                        intensity: params.f64("intensity")?.unwrap_or(0.9),
+                        intensity: intensity(params, 0.9)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -305,7 +323,7 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("dummy-spam", params),
                     kind: ScenarioKind::DummySpam {
-                        intensity: params.f64("intensity")?.unwrap_or(1.2),
+                        intensity: intensity(params, 1.2)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -323,7 +341,7 @@ impl ScenarioRegistry {
                     kind: ScenarioKind::DexArb {
                         pools: params.usize("pools")?.unwrap_or(6),
                         bundle: params.usize("bundle")?.unwrap_or(4),
-                        intensity: params.f64("intensity")?.unwrap_or(0.5),
+                        intensity: intensity(params, 0.5)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -341,7 +359,7 @@ impl ScenarioRegistry {
                     kind: ScenarioKind::AaBatch {
                         bundlers: params.usize("bundlers")?.unwrap_or(4),
                         batch: params.usize("batch")?.unwrap_or(8),
-                        intensity: params.f64("intensity")?.unwrap_or(0.5),
+                        intensity: intensity(params, 0.5)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -358,7 +376,7 @@ impl ScenarioRegistry {
                     label: label_of("nft-mint", params),
                     kind: ScenarioKind::NftMint {
                         drops: params.usize("drops")?.unwrap_or(4),
-                        intensity: params.f64("intensity")?.unwrap_or(3.0),
+                        intensity: intensity(params, 3.0)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -375,7 +393,7 @@ impl ScenarioRegistry {
                     label: label_of("phase-shift", params),
                     kind: ScenarioKind::PhaseShift {
                         phases: params.usize("phases")?.unwrap_or(6),
-                        intensity: params.f64("intensity")?.unwrap_or(0.9),
+                        intensity: intensity(params, 0.9)?,
                     },
                     span: SpanParams::parse(params)?,
                 }))
@@ -644,6 +662,29 @@ mod tests {
         );
         let err = err_of(reg.resolve("hub-burst[contracts=0]"));
         assert!(err.contains("positive integer"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_rejected() {
+        let reg = ScenarioRegistry::with_builtins();
+        for (spec, key) in [
+            ("hub-burst[intensity=inf]", "intensity"),
+            ("dummy-spam[intensity=1e300]", "intensity"),
+            ("dex-arb[intensity=100.5]", "intensity"),
+            ("aa-batch[intensity=-0.5]", "intensity"),
+            ("phase-shift[intensity=NaN]", "intensity"),
+            ("hub-burst[start=1e300]", "start"),
+            ("nft-mint[duration=inf]", "duration"),
+        ] {
+            let err = err_of(reg.resolve(spec));
+            assert!(
+                err.starts_with(&format!("parameter `{key}`")),
+                "{spec}: {err}"
+            );
+        }
+        for spec in ["nft-mint[intensity=0]", "hub-burst[intensity=100]"] {
+            assert!(reg.resolve(spec).is_ok(), "{spec}");
+        }
     }
 
     #[test]

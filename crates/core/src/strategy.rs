@@ -379,31 +379,47 @@ impl StrategyParams {
         self.entries.get(key).map(String::as_str)
     }
 
-    /// Parses `key` as an `f64`.
-    pub fn f64(&self, key: &str) -> Result<Option<f64>, StrategyError> {
+    /// Parses `key` with `parse`; a value it rejects is an error saying
+    /// the value is not `what`.
+    fn parse_as<T>(
+        &self,
+        key: &str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, StrategyError> {
         self.get(key)
             .map(|v| {
-                v.parse::<f64>().map_err(|_| {
-                    StrategyError::new(format!("parameter `{key}`: `{v}` is not a number"))
+                parse(v).ok_or_else(|| {
+                    StrategyError::new(format!("parameter `{key}`: `{v}` is not {what}"))
                 })
             })
             .transpose()
     }
 
+    /// Parses `key` as a finite `f64` (`NaN` and infinities are errors).
+    pub fn f64(&self, key: &str) -> Result<Option<f64>, StrategyError> {
+        self.parse_as(key, "a finite number", |v| {
+            v.parse::<f64>().ok().filter(|x| x.is_finite())
+        })
+    }
+
     /// Parses `key` as a positive duration in days (fractional days
-    /// allowed, rounded to whole hours, minimum one hour).
+    /// allowed, rounded to whole hours, minimum one hour). A count whose
+    /// seconds overflow `u64` (above about 2.1e14 days) is an error.
     pub fn days(&self, key: &str) -> Result<Option<Duration>, StrategyError> {
-        self.f64(key)?
-            .map(|d| {
-                if !d.is_finite() || d <= 0.0 {
-                    return Err(StrategyError::new(format!(
-                        "parameter `{key}`: `{d}` is not a positive number of days"
-                    )));
-                }
+        self.parse_as(
+            key,
+            "a positive number of days that fits in u64 seconds",
+            |v| {
+                let d = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|d| d.is_finite() && *d > 0.0)?;
+                // `as` saturates, so an overlarge count fails the multiply
                 let hours = (d * 24.0).round().max(1.0) as u64;
-                Ok(Duration::hours(hours))
-            })
-            .transpose()
+                hours.checked_mul(3_600).map(Duration::from_secs)
+            },
+        )
     }
 
     /// The parameters re-rendered canonically: `key=value` pairs with
@@ -419,14 +435,9 @@ impl StrategyParams {
 
     /// Parses `key` as a positive integer.
     pub fn usize(&self, key: &str) -> Result<Option<usize>, StrategyError> {
-        self.get(key)
-            .map(|v| match v.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(StrategyError::new(format!(
-                    "parameter `{key}`: `{v}` is not a positive integer"
-                ))),
-            })
-            .transpose()
+        self.parse_as(key, "a positive integer", |v| {
+            v.parse::<usize>().ok().filter(|&n| n > 0)
+        })
     }
 
     /// Errors when a parameter outside `allowed` was supplied.
@@ -964,13 +975,37 @@ mod tests {
     #[test]
     fn non_positive_durations_are_rejected() {
         let reg = StrategyRegistry::with_builtins();
-        for bad in ["0", "-7", "nan", "inf"] {
+        // 213503982334602 days is the first count whose seconds overflow
+        for bad in ["0", "-7", "nan", "inf", "1e300", "213503982334602"] {
             let err = reg
                 .resolve(&format!("r-metis[window={bad}]"))
                 .err()
                 .expect("should fail")
                 .to_string();
+            assert!(err.starts_with("parameter `window`"), "window={bad}: {err}");
             assert!(err.contains("positive"), "window={bad}: {err}");
+        }
+        let spec = reg.resolve("r-metis[window=213503982334601]").unwrap();
+        assert_eq!(
+            spec.simulator_config(ShardCount::TWO).scope_window,
+            Duration::hours(213_503_982_334_601 * 24)
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        let reg = StrategyRegistry::with_builtins();
+        for (spec, key) in [
+            ("ldg[slack=NaN]", "slack"),
+            ("tr-metis[cut=NaN]", "cut"),
+            ("tr-metis[balance=inf]", "balance"),
+            ("fennel[gamma=1e400]", "gamma"),
+        ] {
+            let err = reg.resolve(spec).err().expect("should fail").to_string();
+            assert!(
+                err.starts_with(&format!("parameter `{key}`")),
+                "{spec}: {err}"
+            );
         }
     }
 

@@ -749,23 +749,4 @@ mod tests {
         // every episode has a before window (run never starts migrating)
         assert!(report.episodes.iter().all(|e| e.before.is_some()));
     }
-
-    #[test]
-    fn report_is_identical_across_worker_counts() {
-        let mut world = World::new();
-        let (_, stream) = community_stream(&mut world, 6);
-        let mut reports = Vec::new();
-        for threshold in [usize::MAX, 0] {
-            let cfg = test_config()
-                .with_runtime(
-                    RuntimeConfig::new(ShardCount::TWO).with_parallel_batch_threshold(threshold),
-                )
-                .with_tracing(true);
-            let mut runner = LiveRunner::new(cfg, metis(7));
-            let run = runner.run(&world, &stream);
-            let resident = run.session.resident_addresses();
-            reports.push((run.report.json().render(), resident));
-        }
-        assert_eq!(reports[0], reports[1], "serial vs parallel drive");
-    }
 }

@@ -1,6 +1,6 @@
-//! Property tests: live migration conserves state and is deterministic.
+//! Property tests: live migration conserves state.
 //!
-//! Three invariants of the live repartitioning service, over randomized
+//! Two invariants of the live repartitioning service, over randomized
 //! community workloads and shard maps:
 //!
 //! 1. **Conservation** — after any number of triggered migrations, every
@@ -10,15 +10,9 @@
 //!    no-migration run's (the workload is commutative transfers with
 //!    ample balances, so commit order cannot change the outcome; only a
 //!    lost or duplicated account could).
-//! 3. **Worker-count determinism** — the full `MigrationReport` (JSON
-//!    bytes), the residency map and the exported virtual-clock trace are
-//!    identical whether same-instant batches run serially or one thread
-//!    per shard, extending the runtime's trace-determinism proptests to
-//!    the live path.
 
 use blockpart_ethereum::{ExecutedTx, Receipt, Transaction, TxPayload, TxStatus, World};
 use blockpart_live::{LiveConfig, LiveRun, LiveRunner};
-use blockpart_obs::perfetto;
 use blockpart_partition::{MultilevelConfig, MultilevelPartitioner, Partitioner};
 use blockpart_runtime::RuntimeConfig;
 use blockpart_shard::RepartitionPolicy;
@@ -77,18 +71,13 @@ fn workload(users: usize, hours: u64, pairs: &[(u64, u64)]) -> (World, Vec<Execu
     (world, txs)
 }
 
-fn config(k: u16, policy: RepartitionPolicy, threshold: usize, traced: bool) -> LiveConfig {
+fn config(k: u16, policy: RepartitionPolicy) -> LiveConfig {
     let k = ShardCount::new(k).unwrap();
     LiveConfig::new(k)
         .with_window(Duration::hours(1))
         .with_depth(3)
         .with_policy(policy)
-        .with_runtime(
-            RuntimeConfig::new(k)
-                .with_inter_arrival_us(200)
-                .with_parallel_batch_threshold(threshold),
-        )
-        .with_tracing(traced)
+        .with_runtime(RuntimeConfig::new(k).with_inter_arrival_us(200))
 }
 
 fn metis(seed: u64) -> Box<dyn Partitioner> {
@@ -138,7 +127,7 @@ proptest! {
     ) {
         let (world, txs) = workload(users, hours, &pairs);
 
-        let migrated = run(&world, &txs, config(k, threshold_policy(), 32, false), seed);
+        let migrated = run(&world, &txs, config(k, threshold_policy()), seed);
         prop_assert_eq!(migrated.report.total_committed(), txs.len() as u64);
         prop_assert_eq!(migrated.report.total_failed(), 0);
 
@@ -154,34 +143,9 @@ proptest! {
         prop_assert_eq!(moved, migrated.report.accounts_moved());
 
         // world state equals the run that never migrates
-        let frozen = run(&world, &txs, config(k, RepartitionPolicy::Never, 32, false), seed);
+        let frozen = run(&world, &txs, config(k, RepartitionPolicy::Never), seed);
         prop_assert_eq!(frozen.report.migrations(), 0);
         prop_assert_eq!(balances(&migrated), balances(&frozen));
     }
 
-    #[test]
-    fn live_report_identical_across_worker_counts(
-        k in 2u16..=4,
-        users in 6usize..10,
-        hours in 4u64..7,
-        pairs in vec((0u64..64, 0u64..64), 1..6),
-        seed in 0u64..1_000,
-    ) {
-        let (world, txs) = workload(users, hours, &pairs);
-        // usize::MAX: every batch below threshold → one serial worker.
-        let serial = run(&world, &txs, config(k, threshold_policy(), usize::MAX, true), seed);
-        // 0: every multi-shard batch fans out to one thread per shard.
-        let parallel = run(&world, &txs, config(k, threshold_policy(), 0, true), seed);
-
-        prop_assert_eq!(&serial.report, &parallel.report);
-        prop_assert_eq!(serial.report.json().render(), parallel.report.json().render());
-        prop_assert_eq!(
-            serial.session.resident_addresses(),
-            parallel.session.resident_addresses()
-        );
-        prop_assert_eq!(
-            perfetto::to_perfetto(&serial.session.finish()).render(),
-            perfetto::to_perfetto(&parallel.session.finish()).render()
-        );
-    }
 }

@@ -58,7 +58,7 @@ mod traits;
 pub use hashing::HashPartitioner;
 pub use kl::DistributedKl;
 pub use metrics::CutMetrics;
-pub use multilevel::{kway, kway_traced, MultilevelConfig, MultilevelPartitioner, VertexWeighting};
+pub use multilevel::{kway, kway_traced, MultilevelConfig, MultilevelPartitioner};
 pub use partition::Partition;
 pub use streaming::{Fennel, LinearGreedy, RowResult};
 pub use traits::{PartitionRequest, Partitioner};

@@ -1,14 +1,6 @@
 //! Graph contraction: collapse a matching into a coarser graph.
 
 use blockpart_graph::Csr;
-use blockpart_types::{resolve_workers, split_ranges};
-
-/// Below this many coarse vertices contraction runs on the calling
-/// thread even when more workers are available.
-const PARALLEL_COARSE_THRESHOLD: usize = 4_096;
-
-/// One worker's slice of coarse CSR arrays: row lengths, targets, weights.
-type RowSegment = (Vec<usize>, Vec<u32>, Vec<u64>);
 
 /// Contracts `csr` along `mate` (as produced by
 /// [`match_vertices`](super::matching::match_vertices)).
@@ -38,16 +30,6 @@ type RowSegment = (Vec<usize>, Vec<u32>, Vec<u64>);
 /// assert_eq!(coarse.vertex_weight(map[0] as usize), 2);
 /// ```
 pub fn contract(csr: &Csr, mate: &[u32]) -> (Csr, Vec<u32>) {
-    contract_workers(csr, mate, 1)
-}
-
-/// [`contract`] on up to `workers` threads (`0` = automatic).
-///
-/// Coarse rows are independent given the fine→coarse map, so workers own
-/// contiguous coarse-vertex ranges and build their row segments in
-/// parallel; the segments concatenate in range order. Byte-identical
-/// output for every worker count.
-pub fn contract_workers(csr: &Csr, mate: &[u32], workers: usize) -> (Csr, Vec<u32>) {
     let n = csr.node_count();
     debug_assert_eq!(mate.len(), n, "matching length mismatch");
 
@@ -75,85 +57,43 @@ pub fn contract_workers(csr: &Csr, mate: &[u32], workers: usize) -> (Csr, Vec<u3
 
     // Build coarse adjacency row by row with a sort-merge over the (at
     // most two) constituent neighbour lists — no per-vertex hash maps.
-    // Rows are independent, so workers own contiguous coarse ranges.
-    let auto = workers == 0;
-    let workers = resolve_workers(workers);
-    let ranges = if workers == 1 || (auto && coarse_n < PARALLEL_COARSE_THRESHOLD) {
-        split_ranges(coarse_n, 1)
-    } else {
-        split_ranges(coarse_n, workers)
-    };
-    let mut parts: Vec<Option<RowSegment>> = Vec::new();
-    parts.resize_with(ranges.len(), || None);
-    let build_range = |range: std::ops::Range<usize>| {
-        let mut lens = Vec::with_capacity(range.len());
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        for c in range {
-            scratch.clear();
-            let rep = reps[c] as usize;
-            let partner = mate[rep] as usize;
-            let c = c as u32;
-            for (u, w) in csr.neighbors(rep) {
+    let mut xadj = Vec::with_capacity(coarse_n + 1);
+    let mut adjncy = Vec::with_capacity(csr.edge_count());
+    let mut adjwgt = Vec::with_capacity(csr.edge_count());
+    let mut scratch: Vec<(u32, u64)> = Vec::new();
+    xadj.push(0);
+    for (c, &rep) in reps.iter().enumerate() {
+        scratch.clear();
+        let rep = rep as usize;
+        let partner = mate[rep] as usize;
+        let c = c as u32;
+        for (u, w) in csr.neighbors(rep) {
+            let cu = cmap[u as usize];
+            if cu != c {
+                scratch.push((cu, w));
+            }
+        }
+        if partner != rep {
+            for (u, w) in csr.neighbors(partner) {
                 let cu = cmap[u as usize];
                 if cu != c {
                     scratch.push((cu, w));
                 }
             }
-            if partner != rep {
-                for (u, w) in csr.neighbors(partner) {
-                    let cu = cmap[u as usize];
-                    if cu != c {
-                        scratch.push((cu, w));
-                    }
-                }
-            }
-            scratch.sort_unstable_by_key(|&(t, _)| t);
-            let before = adjncy.len();
-            let mut i = 0;
-            while i < scratch.len() {
-                let (t, mut w) = scratch[i];
+        }
+        scratch.sort_unstable_by_key(|&(t, _)| t);
+        let mut i = 0;
+        while i < scratch.len() {
+            let (t, mut w) = scratch[i];
+            i += 1;
+            while i < scratch.len() && scratch[i].0 == t {
+                w += scratch[i].1;
                 i += 1;
-                while i < scratch.len() && scratch[i].0 == t {
-                    w += scratch[i].1;
-                    i += 1;
-                }
-                adjncy.push(t);
-                adjwgt.push(w);
             }
-            lens.push(adjncy.len() - before);
+            adjncy.push(t);
+            adjwgt.push(w);
         }
-        (lens, adjncy, adjwgt)
-    };
-    if ranges.len() <= 1 {
-        for (slot, range) in parts.iter_mut().zip(&ranges) {
-            *slot = Some(build_range(range.clone()));
-        }
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for (slot, range) in parts.iter_mut().zip(&ranges) {
-                let range = range.clone();
-                let build_range = &build_range;
-                scope.spawn(move |_| *slot = Some(build_range(range)));
-            }
-        })
-        .expect("contraction worker panicked");
-    }
-
-    let mut xadj = Vec::with_capacity(coarse_n + 1);
-    let mut adjncy = Vec::with_capacity(csr.edge_count());
-    let mut adjwgt = Vec::with_capacity(csr.edge_count());
-    xadj.push(0);
-    for part in parts {
-        let (lens, t, w) = part.expect("range contracted");
-        let mut at = *xadj.last().expect("xadj starts non-empty");
-        for len in lens {
-            at += len;
-            xadj.push(at);
-        }
-        adjncy.extend_from_slice(&t);
-        adjwgt.extend_from_slice(&w);
+        xadj.push(adjncy.len());
     }
     (Csr::from_parts(xadj, adjncy, adjwgt, vwgt), cmap)
 }
@@ -161,15 +101,12 @@ pub fn contract_workers(csr: &Csr, mate: &[u32], workers: usize) -> (Csr, Vec<u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilevel::matching::{match_vertices, MatchingScheme};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use crate::multilevel::matching::match_vertices;
 
     #[test]
     fn preserves_total_vertex_weight() {
         let csr = Csr::from_edges(6, &[(0, 1, 3), (1, 2, 4), (3, 4, 5), (4, 5, 1)]);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng);
+        let mate = match_vertices(&csr);
         let (coarse, _) = contract(&csr, &mate);
         assert_eq!(coarse.total_vertex_weight(), csr.total_vertex_weight());
         coarse.validate().unwrap();
@@ -208,12 +145,11 @@ mod tests {
     fn repeated_contraction_shrinks_to_constant() {
         let edges: Vec<(u32, u32, u64)> = (0..255).map(|i| (i, i + 1, 1)).collect();
         let mut csr = Csr::from_edges(256, &edges);
-        let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..20 {
             if csr.node_count() <= 4 {
                 break;
             }
-            let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng);
+            let mate = match_vertices(&csr);
             let (coarse, _) = contract(&csr, &mate);
             assert!(coarse.node_count() < csr.node_count());
             csr = coarse;

@@ -1,58 +1,8 @@
 //! Vertex matchings for the coarsening phase.
 
 use blockpart_graph::Csr;
-use blockpart_types::{resolve_workers, split_ranges};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
-/// Below this many vertices a matching round runs on the calling thread
-/// even when more workers are available (coarse levels get tiny, and
-/// thread spawns would dominate).
-const PARALLEL_VERTEX_THRESHOLD: usize = 4_096;
-
-/// How to pick the matching collapsed at each coarsening step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MatchingScheme {
-    /// Match each vertex with its heaviest unmatched neighbour (METIS's
-    /// HEM): hides heavy edges inside coarse vertices so they can never be
-    /// cut, which is what drives the partitioner's low dynamic edge-cut.
-    /// Computed by deterministic parallel handshake rounds — see
-    /// [`match_vertices_workers`].
-    #[default]
-    HeavyEdge,
-    /// Match with a uniformly random unmatched neighbour (METIS's RM).
-    /// Cheaper but quality-blind; kept for the ablation benchmarks.
-    /// Always sequential (it consumes the RNG per visit).
-    Random,
-}
-
-/// Computes a matching over `csr` on the calling thread.
-///
-/// Equivalent to [`match_vertices_workers`] with one worker — and, since
-/// the matching is deterministic in the worker count, equivalent to it at
-/// *any* worker count.
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_graph::Csr;
-/// use blockpart_partition::multilevel::matching::{match_vertices, MatchingScheme};
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let csr = Csr::from_edges(4, &[(0, 1, 9), (1, 2, 1), (2, 3, 9)]);
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng);
-/// // heavy edges 0-1 and 2-3 always win over the light 1-2
-/// assert_eq!(mate[0], 1);
-/// assert_eq!(mate[2], 3);
-/// ```
-pub fn match_vertices(csr: &Csr, scheme: MatchingScheme, rng: &mut SmallRng) -> Vec<u32> {
-    match_vertices_workers(csr, scheme, rng, 1)
-}
-
-/// Computes a matching over `csr` using up to `workers` threads (`0` =
-/// automatic).
+/// Computes a heavy-edge matching over `csr` (METIS's HEM).
 ///
 /// Returns `mate` where `mate[v]` is the vertex `v` is matched with
 /// (`mate[v] == v` for unmatched vertices). The relation is symmetric:
@@ -60,53 +10,35 @@ pub fn match_vertices(csr: &Csr, scheme: MatchingScheme, rng: &mut SmallRng) -> 
 /// matching) or share a common neighbour (the two-hop phase that keeps
 /// star-shaped blockchain graphs coarsening — see below).
 ///
-/// [`MatchingScheme::HeavyEdge`] runs *handshake rounds*: every unmatched
-/// vertex computes its preferred unmatched neighbour — heaviest edge,
-/// ties to the smallest id — in parallel over vertex ranges, then pairs
-/// whose preferences are mutual are matched. The preference pass is a
-/// pure function of the round's start state, so the result is
-/// byte-identical for every worker count. Rounds stop at a fixed cap or
-/// when one yields no mutual pair; whatever remains (preference cycles,
-/// cap leftovers) is matched by a single sequential greedy sweep in
-/// index order using the same selection rule.
-/// [`MatchingScheme::Random`] ignores `workers`.
-pub fn match_vertices_workers(
-    csr: &Csr,
-    scheme: MatchingScheme,
-    rng: &mut SmallRng,
-    workers: usize,
-) -> Vec<u32> {
+/// Matching each vertex with its heaviest unmatched neighbour hides
+/// heavy edges inside coarse vertices so they can never be cut, which is
+/// what drives the partitioner's low dynamic edge-cut. It runs
+/// *handshake rounds*: every unmatched vertex computes its preferred
+/// unmatched neighbour — heaviest edge, ties to the smallest id — then
+/// pairs whose preferences are mutual are matched. Rounds stop at a
+/// fixed cap or when one yields no mutual pair; whatever remains
+/// (preference cycles, cap leftovers) is matched by a single greedy
+/// sweep in index order using the same selection rule. The matching
+/// draws no randomness.
+///
+/// # Examples
+///
+/// ```
+/// use blockpart_graph::Csr;
+/// use blockpart_partition::multilevel::matching::match_vertices;
+///
+/// let csr = Csr::from_edges(4, &[(0, 1, 9), (1, 2, 1), (2, 3, 9)]);
+/// let mate = match_vertices(&csr);
+/// // heavy edges 0-1 and 2-3 always win over the light 1-2
+/// assert_eq!(mate[0], 1);
+/// assert_eq!(mate[2], 3);
+/// ```
+pub fn match_vertices(csr: &Csr) -> Vec<u32> {
     let n = csr.node_count();
     let mut mate: Vec<u32> = (0..n as u32).collect();
     let mut matched = vec![false; n];
 
-    match scheme {
-        MatchingScheme::HeavyEdge => {
-            handshake_rounds(csr, &mut mate, &mut matched, workers);
-        }
-        MatchingScheme::Random => {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.shuffle(rng);
-            for &v in &order {
-                let v = v as usize;
-                if matched[v] {
-                    continue;
-                }
-                let free: Vec<u32> = csr
-                    .neighbors(v)
-                    .filter(|&(u, _)| !matched[u as usize])
-                    .map(|(u, _)| u)
-                    .collect();
-                if let Some(&u) = free.choose(rng) {
-                    let u = u as usize;
-                    mate[v] = u as u32;
-                    mate[u] = v as u32;
-                    matched[v] = true;
-                    matched[u] = true;
-                }
-            }
-        }
-    }
+    handshake_rounds(csr, &mut mate, &mut matched);
 
     // Second phase: two-hop matching for star-shaped regions. Blockchain
     // graphs are dominated by hubs with thousands of degree-1 leaves; edge
@@ -122,12 +54,7 @@ pub fn match_vertices_workers(
             }
             match pending.take() {
                 None => pending = Some(u),
-                Some(prev) => {
-                    mate[prev] = u as u32;
-                    mate[u] = prev as u32;
-                    matched[prev] = true;
-                    matched[u] = true;
-                }
+                Some(prev) => pair(&mut mate, &mut matched, prev, u),
             }
         }
     }
@@ -142,12 +69,19 @@ const MAX_HANDSHAKE_ROUNDS: usize = 16;
 
 /// Runs deterministic heavy-edge handshake rounds, then matches whatever
 /// they left (preference cycles, round-cap leftovers) with a single
-/// sequential greedy sweep in index order.
-fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: usize) {
+/// greedy sweep in index order.
+fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool]) {
     let n = csr.node_count();
     let mut candidate = vec![u32::MAX; n];
     for _ in 0..MAX_HANDSHAKE_ROUNDS {
-        compute_candidates(csr, matched, &mut candidate, workers);
+        // every preference is computed from the round's start state
+        for (v, slot) in candidate.iter_mut().enumerate() {
+            *slot = if matched[v] {
+                u32::MAX
+            } else {
+                heaviest_free(csr, matched, v).unwrap_or(u32::MAX)
+            };
+        }
         let mut progress = false;
         for v in 0..n {
             if matched[v] || candidate[v] == u32::MAX {
@@ -156,10 +90,7 @@ fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: 
             let u = candidate[v] as usize;
             // mutual preference; `v < u` so each pair matches once
             if !matched[u] && candidate[u] == v as u32 && v < u {
-                mate[v] = u as u32;
-                mate[u] = v as u32;
-                matched[v] = true;
-                matched[u] = true;
+                pair(mate, matched, v, u);
                 progress = true;
             }
         }
@@ -168,80 +99,37 @@ fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool], workers: 
         }
     }
     // Greedy finish: one O(E) pass picking each remaining vertex's best
-    // unmatched neighbour by the same (weight, smallest-id) rule. Purely
-    // sequential and index-ordered, so still worker-count-independent.
+    // unmatched neighbour by the same (weight, smallest-id) rule.
     for v in 0..n {
         if matched[v] {
             continue;
         }
-        let best = csr
-            .neighbors(v)
-            .filter(|&(u, _)| !matched[u as usize])
-            .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
-            .map(|(u, _)| u);
-        if let Some(u) = best {
-            let u = u as usize;
-            mate[v] = u as u32;
-            mate[u] = v as u32;
-            matched[v] = true;
-            matched[u] = true;
+        if let Some(u) = heaviest_free(csr, matched, v) {
+            pair(mate, matched, v, u as usize);
         }
     }
 }
 
-/// Fills `candidate[v]` with `v`'s heaviest unmatched neighbour (ties to
-/// the smallest id), or `u32::MAX` when `v` is matched or isolated among
-/// the unmatched. A pure function of `(csr, matched)` — the worker split
-/// never affects the values, only who computes them.
-fn compute_candidates(csr: &Csr, matched: &[bool], candidate: &mut [u32], workers: usize) {
-    let n = csr.node_count();
-    let auto = workers == 0;
-    let workers = resolve_workers(workers);
-    let best = |v: usize| -> u32 {
-        if matched[v] {
-            return u32::MAX;
-        }
-        csr.neighbors(v)
-            .filter(|&(u, _)| !matched[u as usize])
-            .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
-            .map_or(u32::MAX, |(u, _)| u)
-    };
-    if workers == 1 || (auto && n < PARALLEL_VERTEX_THRESHOLD) {
-        for (v, slot) in candidate.iter_mut().enumerate() {
-            *slot = best(v);
-        }
-        return;
-    }
-    let ranges = split_ranges(n, workers);
-    let mut slices: Vec<&mut [u32]> = Vec::with_capacity(ranges.len());
-    let mut rest = candidate;
-    for range in &ranges {
-        let (head, tail) = rest.split_at_mut(range.len());
-        slices.push(head);
-        rest = tail;
-    }
-    crossbeam::thread::scope(|scope| {
-        for (slice, range) in slices.into_iter().zip(&ranges) {
-            let start = range.start;
-            let best = &best;
-            scope.spawn(move |_| {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = best(start + i);
-                }
-            });
-        }
-    })
-    .expect("matching worker panicked");
+/// `v`'s heaviest unmatched neighbour, ties to the smallest id; `None`
+/// when `v` is isolated among the unmatched.
+fn heaviest_free(csr: &Csr, matched: &[bool], v: usize) -> Option<u32> {
+    csr.neighbors(v)
+        .filter(|&(u, _)| !matched[u as usize])
+        .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
+        .map(|(u, _)| u)
+}
+
+/// Matches `a` with `b`.
+fn pair(mate: &mut [u32], matched: &mut [bool], a: usize, b: usize) {
+    mate[a] = b as u32;
+    mate[b] = a as u32;
+    matched[a] = true;
+    matched[b] = true;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(42)
-    }
 
     fn assert_valid_matching(csr: &Csr, mate: &[u32]) {
         for v in 0..csr.node_count() {
@@ -267,7 +155,7 @@ mod tests {
         // the rest so coarsening halves the graph.
         let edges: Vec<(u32, u32, u64)> = (1..41).map(|i| (0, i, 1)).collect();
         let csr = Csr::from_edges(41, &edges);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng());
+        let mate = match_vertices(&csr);
         assert_valid_matching(&csr, &mate);
         let unmatched = mate
             .iter()
@@ -280,34 +168,16 @@ mod tests {
     #[test]
     fn heavy_edge_prefers_heavy() {
         let csr = Csr::from_edges(4, &[(0, 1, 100), (1, 2, 1), (2, 3, 100)]);
-        for seed in 0..10 {
-            let mut r = SmallRng::seed_from_u64(seed);
-            let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut r);
-            assert_valid_matching(&csr, &mate);
-            assert_eq!(mate[0], 1);
-            assert_eq!(mate[2], 3);
-        }
-    }
-
-    #[test]
-    fn random_matching_is_valid() {
-        let edges: Vec<(u32, u32, u64)> = (0..19).map(|i| (i, i + 1, 1)).collect();
-        let csr = Csr::from_edges(20, &edges);
-        let mate = match_vertices(&csr, MatchingScheme::Random, &mut rng());
+        let mate = match_vertices(&csr);
         assert_valid_matching(&csr, &mate);
-        // a path of 20 vertices always admits some matching
-        let matched = mate
-            .iter()
-            .enumerate()
-            .filter(|&(v, &m)| v != m as usize)
-            .count();
-        assert!(matched >= 2);
+        assert_eq!(mate[0], 1);
+        assert_eq!(mate[2], 3);
     }
 
     #[test]
     fn isolated_vertices_stay_unmatched() {
         let csr = Csr::from_edges(3, &[(0, 1, 1)]);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng());
+        let mate = match_vertices(&csr);
         assert_eq!(mate[2], 2);
         assert_valid_matching(&csr, &mate);
     }
@@ -315,14 +185,14 @@ mod tests {
     #[test]
     fn empty_graph() {
         let csr = Csr::from_edges(0, &[]);
-        assert!(match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng()).is_empty());
+        assert!(match_vertices(&csr).is_empty());
     }
 
     #[test]
     fn matching_halves_triangle() {
         // odd cycles leave exactly one vertex unmatched
         let csr = Csr::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng());
+        let mate = match_vertices(&csr);
         assert_valid_matching(&csr, &mate);
         let unmatched = mate
             .iter()

@@ -5,7 +5,7 @@
 //! The scheme has three phases:
 //!
 //! 1. **Coarsening** ([`matching`], [`coarsen`]) — repeatedly collapse a
-//!    matching (heavy-edge by default) until the graph is small;
+//!    heavy-edge matching until the graph is small;
 //! 2. **Initial partitioning** ([`initial`]) — recursive bisection on the
 //!    coarsest graph using greedy graph growing plus
 //!    Fiduccia–Mattheyses-style refinement;
@@ -25,33 +25,15 @@ use rand::SeedableRng;
 use crate::partition::Partition;
 use crate::traits::{PartitionRequest, Partitioner};
 
-pub use matching::MatchingScheme;
-
-/// Which vertex weights drive the partitioner's balance constraint.
-///
-/// The paper feeds METIS edge weights (to avoid cutting hot edges) but
-/// balances on vertex *counts* — which is exactly why METIS shows dynamic
-/// imbalance near 2 after the 2016 dummy-account attack. `Activity`
-/// balances on the activity weights instead (used in ablations).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VertexWeighting {
-    /// Every vertex weighs 1 (the paper's METIS configuration).
-    #[default]
-    Unit,
-    /// Use the CSR's activity weights.
-    Activity,
-}
-
 /// Tuning parameters for [`MultilevelPartitioner`].
 ///
 /// # Examples
 ///
 /// ```
-/// use blockpart_partition::{MultilevelConfig, VertexWeighting};
+/// use blockpart_partition::MultilevelConfig;
 ///
 /// let cfg = MultilevelConfig {
 ///     imbalance: 1.03,
-///     weighting: VertexWeighting::Activity,
 ///     ..MultilevelConfig::default()
 /// };
 /// assert!(cfg.imbalance < 1.05);
@@ -68,16 +50,8 @@ pub struct MultilevelConfig {
     pub init_trials: usize,
     /// Maximum k-way refinement passes per uncoarsening level.
     pub refine_passes: usize,
-    /// Matching scheme used during coarsening.
-    pub matching: MatchingScheme,
-    /// Vertex weights used for the balance constraint.
-    pub weighting: VertexWeighting,
-    /// RNG seed (matchings, growing seeds and visit orders draw from it).
+    /// RNG seed (growing seeds and visit orders draw from it).
     pub seed: u64,
-    /// Worker threads for the matching and contraction phases (`0` =
-    /// automatic). Any value produces byte-identical partitions; this
-    /// knob trades only wall-clock time.
-    pub threads: usize,
 }
 
 impl Default for MultilevelConfig {
@@ -87,10 +61,7 @@ impl Default for MultilevelConfig {
             imbalance: 1.05,
             init_trials: 8,
             refine_passes: 8,
-            matching: MatchingScheme::HeavyEdge,
-            weighting: VertexWeighting::Unit,
             seed: 0x004d_4554_4953, // "METIS"
-            threads: 0,
         }
     }
 }
@@ -176,11 +147,10 @@ pub fn kway_traced<C: Collector>(
 
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
-    // Re-weight vertices according to the balance policy.
-    let base = match config.weighting {
-        VertexWeighting::Unit => rebuild_with_unit_weights(csr),
-        VertexWeighting::Activity => csr.clone(),
-    };
+    // The paper feeds METIS edge weights (to avoid cutting hot edges)
+    // but balances on vertex *counts* — which is exactly why METIS shows
+    // dynamic imbalance near 2 after the 2016 dummy-account attack.
+    let base = rebuild_with_unit_weights(csr);
 
     // ---- Phase 1: coarsening -------------------------------------------
     let coarsen_start = obs.now_us();
@@ -188,9 +158,8 @@ pub fn kway_traced<C: Collector>(
     let mut levels: Vec<(Csr, Vec<u32>)> = Vec::new(); // (fine graph, fine->coarse map)
     let mut current = base;
     while current.node_count() > stop_at {
-        let matching =
-            matching::match_vertices_workers(&current, config.matching, &mut rng, config.threads);
-        let (coarse, map) = coarsen::contract_workers(&current, &matching, config.threads);
+        let matching = matching::match_vertices(&current);
+        let (coarse, map) = coarsen::contract(&current, &matching);
         // Stop when coarsening stalls (highly connected graphs).
         if coarse.node_count() as f64 > current.node_count() as f64 * 0.95 {
             break;
@@ -365,37 +334,6 @@ mod tests {
         assert_eq!(p.len(), 10);
         let m = CutMetrics::compute(&csr, &p);
         assert!(m.static_balance <= 1.5);
-    }
-
-    #[test]
-    fn activity_weighting_balances_weighted_vertices() {
-        // Two hub vertices with huge activity connected to satellite sets;
-        // activity weighting must separate the hubs.
-        let mut edges = Vec::new();
-        for i in 2..42u32 {
-            let hub = i % 2;
-            edges.push((hub, i, 50));
-        }
-        let mut b = blockpart_graph::GraphBuilder::new();
-        for &(u, v, w) in &edges {
-            b.add_interaction(
-                blockpart_types::Address::from_index(u as u64),
-                blockpart_types::Address::from_index(v as u64),
-                w,
-            );
-        }
-        let csr = b.build().to_csr();
-        let cfg = MultilevelConfig {
-            weighting: VertexWeighting::Activity,
-            ..MultilevelConfig::default()
-        };
-        let p = kway(&csr, k(2), &cfg);
-        let m = CutMetrics::compute(&csr, &p);
-        assert!(
-            m.dynamic_balance < 1.4,
-            "dynamic balance {}",
-            m.dynamic_balance
-        );
     }
 
     #[test]

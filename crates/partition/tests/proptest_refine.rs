@@ -4,7 +4,7 @@
 
 use blockpart_graph::Csr;
 use blockpart_partition::multilevel::coarsen::contract;
-use blockpart_partition::multilevel::matching::{match_vertices, MatchingScheme};
+use blockpart_partition::multilevel::matching::match_vertices;
 use blockpart_partition::multilevel::refine::{kway_refine, max_shard_weights};
 use blockpart_partition::{CutMetrics, Partition};
 use blockpart_types::{ShardCount, ShardId};
@@ -24,34 +24,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matchings_are_valid_for_both_schemes(csr in graph_strategy(48), seed in 0u64..500) {
-        for scheme in [MatchingScheme::HeavyEdge, MatchingScheme::Random] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mate = match_vertices(&csr, scheme, &mut rng);
-            prop_assert_eq!(mate.len(), csr.node_count());
-            for v in 0..csr.node_count() {
-                let m = mate[v] as usize;
-                prop_assert_eq!(mate[m] as usize, v, "symmetry broken at {}", v);
-                if m != v {
-                    // adjacent (edge matching) or sharing a neighbour
-                    // (two-hop star matching)
-                    let adjacent = csr.neighbors(v).any(|(u, _)| u as usize == m);
-                    let two_hop = csr.neighbors(v).any(|(h, _)| {
-                        csr.neighbors(h as usize).any(|(u, _)| u as usize == m)
-                    });
-                    prop_assert!(
-                        adjacent || two_hop,
-                        "matched vertices {} and {} share no neighbour", v, m
-                    );
-                }
+    fn heavy_edge_matchings_are_valid(csr in graph_strategy(48)) {
+        let mate = match_vertices(&csr);
+        prop_assert_eq!(mate.len(), csr.node_count());
+        for v in 0..csr.node_count() {
+            let m = mate[v] as usize;
+            prop_assert_eq!(mate[m] as usize, v, "symmetry broken at {}", v);
+            if m != v {
+                // adjacent (edge matching) or sharing a neighbour
+                // (two-hop star matching)
+                let adjacent = csr.neighbors(v).any(|(u, _)| u as usize == m);
+                let two_hop = csr.neighbors(v).any(|(h, _)| {
+                    csr.neighbors(h as usize).any(|(u, _)| u as usize == m)
+                });
+                prop_assert!(
+                    adjacent || two_hop,
+                    "matched vertices {} and {} share no neighbour", v, m
+                );
             }
         }
     }
 
     #[test]
-    fn contraction_conserves_weights(csr in graph_strategy(48), seed in 0u64..500) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng);
+    fn contraction_conserves_weights(csr in graph_strategy(48)) {
+        let mate = match_vertices(&csr);
         let (coarse, cmap) = contract(&csr, &mate);
         prop_assert!(coarse.validate().is_ok());
         // vertex weight is conserved exactly
@@ -70,12 +66,11 @@ proptest! {
     }
 
     #[test]
-    fn projection_preserves_cut(csr in graph_strategy(40), seed in 0u64..500) {
+    fn projection_preserves_cut(csr in graph_strategy(40)) {
         // a cut computed on the coarse graph equals the cut of the
         // projected partition on the fine graph (the core soundness fact
         // of multilevel partitioning)
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mate = match_vertices(&csr, MatchingScheme::HeavyEdge, &mut rng);
+        let mate = match_vertices(&csr);
         let (coarse, cmap) = contract(&csr, &mate);
         let k = ShardCount::TWO;
         // any coarse assignment will do: alternate

@@ -5,8 +5,7 @@
 //! schedules as it runs, beside a presorted list of the arrivals known
 //! up front. Sequence numbers are handed out in a deterministic order by
 //! the engine loop, so two runs with the same inputs process events
-//! identically — regardless of how many worker threads execute each
-//! batch.
+//! identically.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

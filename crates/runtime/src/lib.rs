@@ -13,14 +13,12 @@
 //!
 //! The engine is a deterministic discrete-event simulation. Events live
 //! in one virtual-time queue ([`clock::EventQueue`]); every batch of
-//! same-instant events is split by shard and executed by per-shard
-//! workers. A batch runs on one thread per shard only when it carries
-//! at least [`RuntimeConfig::parallel_batch_threshold`] (default 32)
-//! events and touches more than one shard; smaller batches, which is
-//! nearly all of them, run serially on the calling thread. Workers touch
-//! only their own state and communicate exclusively through emitted
-//! events, so the result is bit-identical across runs and thread
-//! schedules.
+//! same-instant events is split by shard and handed to the per-shard
+//! workers in shard order, on the calling thread. Workers touch only
+//! their own state and communicate exclusively through emitted events,
+//! so the result is bit-identical across runs. Parallelism lives one
+//! layer up, where independent runs (strategy × shard count pairs)
+//! share a worker pool.
 //!
 //! # Examples
 //!
@@ -69,9 +67,6 @@ pub use crate::report::{RuntimeReport, ShardReport};
 /// Address-lane stride keeping per-shard allocators disjoint.
 const ADDRESS_LANE: u64 = 1 << 40;
 
-/// Minimum same-instant events before a batch is worth worker threads.
-const PARALLEL_BATCH_THRESHOLD: usize = 32;
-
 /// Tuning knobs of the execution runtime. All times are virtual
 /// microseconds.
 ///
@@ -105,11 +100,6 @@ pub struct RuntimeConfig {
     pub max_attempts: u32,
     /// Entropy seed for the re-executions' `RAND` opcode.
     pub seed: u64,
-    /// Minimum same-instant events before a batch is split across
-    /// worker threads. Purely a wall-clock knob: results and traces are
-    /// identical at any value (0 forces always-parallel, `usize::MAX`
-    /// always-serial — the trace-determinism tests exploit that).
-    pub parallel_batch_threshold: usize,
     /// When set, every 2PC prepare serializes its exported state through
     /// a per-shard on-disk [`blockpart_storage::AccountStateStore`] in
     /// this directory and ships the re-read value — migration batches
@@ -133,7 +123,6 @@ impl RuntimeConfig {
             retry_backoff_us: 5_000,
             max_attempts: 64,
             seed: 0,
-            parallel_batch_threshold: PARALLEL_BATCH_THRESHOLD,
             state_spool_dir: None,
         }
     }
@@ -144,12 +133,6 @@ impl RuntimeConfig {
     /// pure compute and has no error channel).
     pub fn with_state_spool_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.state_spool_dir = Some(dir.into());
-        self
-    }
-
-    /// Overrides the parallel batch threshold.
-    pub fn with_parallel_batch_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_batch_threshold = threshold;
         self
     }
 
@@ -330,8 +313,8 @@ impl ShardedRuntime {
     /// execute/idle spans, and per-shard metrics.
     ///
     /// Every timestamp is simulated time, so for a given config, seed
-    /// and workload the trace is **byte-identical** across worker
-    /// counts, thread schedules and machines — traces diff cleanly.
+    /// and workload the trace is **byte-identical** across runs and
+    /// machines — traces diff cleanly.
     pub fn run_traced(&self, world: &World, txs: &[ExecutedTx]) -> (RuntimeReport, Trace) {
         self.run_inner(world, txs, Detail::Events)
     }
@@ -367,8 +350,7 @@ impl ShardedRuntime {
         drive(&mut workers, &mut queue, &ctx);
 
         // merge worker trace buffers in shard order, then time-sort:
-        // virtual timestamps make the result independent of how many
-        // threads produced them (ties resolve to shard order)
+        // ties resolve to shard order
         let mut trace = match detail {
             Detail::Events => Trace::new_virtual(),
             Detail::Metrics => Trace::metrics_only(),
@@ -555,11 +537,11 @@ fn arrivals_of(records: &[TxRecord]) -> EventQueue {
     )
 }
 
-/// Runs the discrete-event loop until the queue drains, dispatching each
-/// same-instant batch to the per-shard workers (serially or on one
-/// thread per shard, gated by `parallel_batch_threshold`) and merging
-/// the emitted events back in shard order. Returns the virtual time of
-/// the last processed batch. Shared by one-shot runs and live sessions.
+/// Runs the discrete-event loop until the queue drains, handing each
+/// same-instant batch to the per-shard workers in shard order and
+/// merging the emitted events back in shard order. Returns the virtual
+/// time of the last processed batch. Shared by one-shot runs and live
+/// sessions.
 ///
 /// The batch, the per-shard buckets and the per-shard emit buffers are
 /// allocated once per call and reused by every batch.
@@ -571,30 +553,13 @@ fn drive(workers: &mut [ShardWorker], queue: &mut EventQueue, ctx: &Ctx<'_>) -> 
     let mut outs: Vec<Vec<shard_worker::Emit>> = (0..k).map(|_| Vec::new()).collect();
     while let Some(now) = queue.pop_batch_into(&mut batch) {
         last_now = now;
-        let batch_len = batch.len();
         for (shard, event) in batch.drain(..) {
             buckets[shard.as_usize()].push(event);
         }
-        let active = buckets.iter().filter(|b| !b.is_empty()).count();
-        let lanes = workers.iter_mut().zip(&mut buckets).zip(&mut outs);
-        // threads only pay off when a batch carries real work: typical
-        // message batches are 2-3 events of microsecond bookkeeping,
-        // which thread spawn/join would dwarf
-        if active <= 1 || batch_len < ctx.cfg.parallel_batch_threshold {
-            for ((worker, events), out) in lanes {
-                if !events.is_empty() {
-                    worker.handle_batch(now, events, ctx, out);
-                }
+        for ((worker, events), out) in workers.iter_mut().zip(&mut buckets).zip(&mut outs) {
+            if !events.is_empty() {
+                worker.handle_batch(now, events, ctx, out);
             }
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for ((worker, events), out) in lanes {
-                    if !events.is_empty() {
-                        scope.spawn(move |_| worker.handle_batch(now, events, ctx, out));
-                    }
-                }
-            })
-            .expect("shard worker panicked");
         }
         // merge in shard order: deterministic sequence numbering
         for out in &mut outs {

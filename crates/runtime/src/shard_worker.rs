@@ -5,10 +5,9 @@
 //! Workers only mutate their own state; all inter-shard effects travel as
 //! [`Message`]s that [`ShardWorker::handle_batch`] appends to a
 //! caller-owned emit buffer, which the engine drains into the shared
-//! event clock. That isolation is what lets the engine run one thread
-//! per shard and stay deterministic. The engine keeps one input and one
-//! emit buffer per worker for the whole run and reuses them for every
-//! batch.
+//! event clock, so the engine's merge order alone decides event order.
+//! The engine keeps one input and one emit buffer per worker for the
+//! whole run and reuses them for every batch.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -141,7 +140,7 @@ pub(crate) struct ShardWorker {
     pub stats: WorkerStats,
     /// Virtual-clock trace buffer owned by this worker (disabled unless
     /// the engine runs traced). Worker-owned buffers merged in shard
-    /// order keep traced runs deterministic across thread schedules.
+    /// order keep traced runs deterministic.
     pub obs: Trace,
     /// End of the last execution, for idle-gap spans.
     idle_from: Micros,

@@ -1,12 +1,6 @@
-//! Property test: virtual-clock traces are byte-identical across worker
-//! counts.
-//!
-//! The engine executes same-instant event batches either serially or on
-//! one thread per shard, gated by `parallel_batch_threshold`. Forcing
-//! the gate to its extremes (0 = always parallel, `usize::MAX` = always
-//! serial, i.e. one worker) must not change a single byte of the
-//! exported trace — the observability extension of the workspace's
-//! existing worker-count determinism proptests.
+//! Property tests: virtual-clock traces are byte-identical across
+//! reruns, and collecting them never changes the execution — a traced,
+//! a metered and an untraced run of one workload report the same.
 
 use std::collections::HashMap;
 
@@ -66,14 +60,16 @@ fn workload(k: u16, users: usize, pairs: &[(u64, u64)], shards: &[u64], seed: u6
     }
 }
 
-fn traced_run(w: &Workload, threshold: usize) -> (blockpart_runtime::RuntimeReport, String) {
+fn runtime(w: &Workload) -> ShardedRuntime {
     let cfg = RuntimeConfig::new(w.assignment.k())
         .with_seed(w.seed)
         .with_inter_arrival_us(100)
-        .with_net_latency_us(800)
-        .with_parallel_batch_threshold(threshold);
-    let (report, trace) =
-        ShardedRuntime::new(cfg, w.assignment.clone()).run_traced(&w.world, &w.txs);
+        .with_net_latency_us(800);
+    ShardedRuntime::new(cfg, w.assignment.clone())
+}
+
+fn traced_run(w: &Workload) -> (blockpart_runtime::RuntimeReport, String) {
+    let (report, trace) = runtime(w).run_traced(&w.world, &w.txs);
     (report, perfetto::to_perfetto(&trace).render())
 }
 
@@ -81,7 +77,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn trace_identical_across_worker_counts(
+    fn traced_run_matches_untraced_run(
         k in 1u16..=4,
         users in 2usize..6,
         pairs in vec((0u64..64, 0u64..64), 2..16),
@@ -89,24 +85,15 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let w = workload(k, users, &pairs, &shards, seed);
-        // usize::MAX: every batch below threshold → one serial worker.
-        let (serial_report, serial_trace) = traced_run(&w, usize::MAX);
-        // 0: every multi-shard batch fans out to one thread per shard.
-        let (parallel_report, parallel_trace) = traced_run(&w, 0);
-        prop_assert_eq!(&serial_report, &parallel_report);
-        prop_assert_eq!(serial_trace, parallel_trace);
+        let (report, _) = traced_run(&w);
 
         // Traced and untraced runs see the same execution.
-        let cfg = RuntimeConfig::new(w.assignment.k())
-            .with_seed(w.seed)
-            .with_inter_arrival_us(100)
-            .with_net_latency_us(800);
-        let untraced = ShardedRuntime::new(cfg, w.assignment.clone()).run(&w.world, &w.txs);
-        prop_assert_eq!(&untraced, &serial_report);
+        let untraced = runtime(&w).run(&w.world, &w.txs);
+        prop_assert_eq!(&untraced, &report);
 
         // The abort-cause breakdown partitions aborted_rounds.
-        let cause_sum: u64 = serial_report.abort_causes.values().sum();
-        prop_assert_eq!(cause_sum, serial_report.aborted_rounds);
+        let cause_sum: u64 = report.abort_causes.values().sum();
+        prop_assert_eq!(cause_sum, report.aborted_rounds);
     }
 
     #[test]
@@ -116,11 +103,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let w = workload(2, 4, &pairs, &shards, seed);
-        let cfg = || RuntimeConfig::new(w.assignment.k())
-            .with_seed(w.seed)
-            .with_inter_arrival_us(100)
-            .with_net_latency_us(800);
-        let rt = ShardedRuntime::new(cfg(), w.assignment.clone());
+        let rt = runtime(&w);
         let (traced_report, traced) = rt.run_traced(&w.world, &w.txs);
         let (metered_report, metered) = rt.run_metered(&w.world, &w.txs);
 
@@ -143,8 +126,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let w = workload(2, 4, &pairs, &shards, seed);
-        let (_, first) = traced_run(&w, 32);
-        let (_, second) = traced_run(&w, 32);
+        let (_, first) = traced_run(&w);
+        let (_, second) = traced_run(&w);
         prop_assert_eq!(first, second);
     }
 }

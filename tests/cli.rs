@@ -3,7 +3,10 @@
 //! huge scale once panicked on a capacity overflow or aborted on a
 //! multi-gigabyte allocation). So is a `--latency-us` or `--arrival-us`
 //! above one minute (a huge one once wrapped the virtual clock and
-//! reported nonsense).
+//! reported nonsense). So is a strategy or scenario parameter that is
+//! not finite, overflows the clock, or names an absurd intensity (each
+//! once panicked or was silently wrong). And the reports are the same
+//! bytes at any `BLOCKPART_THREADS`.
 
 use std::process::Command;
 
@@ -74,5 +77,80 @@ fn out_of_range_micros_are_rejected_before_generation() {
             stderr.starts_with("generating 30-month history"),
             "{command} at one minute: {stderr}"
         );
+    }
+}
+
+#[test]
+fn out_of_range_parameters_are_rejected_before_generation() {
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["study", "--strategies", "r-metis[window=1e300]"],
+            "window",
+        ),
+        (&["study", "--strategies", "ldg[slack=NaN]"], "slack"),
+        (&["study", "--strategies", "tr-metis[cut=NaN]"], "cut"),
+        (&["live", "--scenario", "hub-burst[start=1e300]"], "start"),
+        (
+            &["live", "--scenario", "hub-burst[intensity=inf]"],
+            "intensity",
+        ),
+        (
+            &["live", "--scenario", "dummy-spam[intensity=1e300]"],
+            "intensity",
+        ),
+    ];
+    for (args, key) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_blockpart"))
+            .args(args)
+            .output()
+            .expect("blockpart runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?}");
+        assert!(
+            stderr.starts_with(&format!("error: parameter `{key}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn reports_are_identical_at_any_thread_count() {
+    let commands: [&[&str]; 2] = [
+        &[
+            "runtime",
+            "--json",
+            "--strategies",
+            "hash,metis,tr-metis",
+            "--shards",
+            "2,4",
+            "--scale",
+            "0.00002",
+        ],
+        &["study", "--json", "--scale", "0.00002"],
+    ];
+    for args in commands {
+        let stdout = |threads: Option<&str>| {
+            let mut command = Command::new(env!("CARGO_BIN_EXE_blockpart"));
+            command.args(args);
+            match threads {
+                Some(n) => command.env("BLOCKPART_THREADS", n),
+                None => command.env_remove("BLOCKPART_THREADS"),
+            };
+            let output = command.output().expect("blockpart runs");
+            assert!(
+                output.status.success(),
+                "{args:?} at {threads:?} threads: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            output.stdout
+        };
+        let unset = stdout(None);
+        assert!(!unset.is_empty(), "{args:?} printed nothing");
+        for threads in ["1", "3"] {
+            assert!(
+                stdout(Some(threads)) == unset,
+                "{args:?}: BLOCKPART_THREADS={threads} changed the report"
+            );
+        }
     }
 }
