@@ -104,6 +104,25 @@ fn intensity(params: &StrategyParams, default: f64) -> Result<f64, StrategyError
     )))
 }
 
+/// Largest accepted count (`contracts`, `pools`, `bundle`, `bundlers`,
+/// `batch`, `drops`, `phases`): 125× the largest built-in default
+/// (`aa-batch`'s `batch=8`). An unbounded count lets one spec ask the
+/// injectors for more hubs and bundles than memory holds.
+const MAX_COUNT: usize = 1000;
+
+/// The count parameter `key`, or `default` when absent. Counts outside
+/// `[1, MAX_COUNT]` are errors.
+fn count(params: &StrategyParams, key: &str, default: usize) -> Result<usize, StrategyError> {
+    let n = params.usize(key)?.unwrap_or(default);
+    if n <= MAX_COUNT {
+        return Ok(n);
+    }
+    Err(StrategyError::new(format!(
+        "parameter `{key}`: `{}` is outside [1, {MAX_COUNT}]",
+        params.get(key).unwrap_or_default()
+    )))
+}
+
 /// Which built-in workload a [`BuiltinScenario`] emits.
 #[derive(Clone, Copy, Debug)]
 enum ScenarioKind {
@@ -305,7 +324,7 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("hub-burst", params),
                     kind: ScenarioKind::HubBurst {
-                        contracts: params.usize("contracts")?.unwrap_or(3),
+                        contracts: count(params, "contracts", 3)?,
                         intensity: intensity(params, 0.9)?,
                     },
                     span: SpanParams::parse(params)?,
@@ -339,8 +358,8 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("dex-arb", params),
                     kind: ScenarioKind::DexArb {
-                        pools: params.usize("pools")?.unwrap_or(6),
-                        bundle: params.usize("bundle")?.unwrap_or(4),
+                        pools: count(params, "pools", 6)?,
+                        bundle: count(params, "bundle", 4)?,
                         intensity: intensity(params, 0.5)?,
                     },
                     span: SpanParams::parse(params)?,
@@ -357,8 +376,8 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("aa-batch", params),
                     kind: ScenarioKind::AaBatch {
-                        bundlers: params.usize("bundlers")?.unwrap_or(4),
-                        batch: params.usize("batch")?.unwrap_or(8),
+                        bundlers: count(params, "bundlers", 4)?,
+                        batch: count(params, "batch", 8)?,
                         intensity: intensity(params, 0.5)?,
                     },
                     span: SpanParams::parse(params)?,
@@ -375,7 +394,7 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("nft-mint", params),
                     kind: ScenarioKind::NftMint {
-                        drops: params.usize("drops")?.unwrap_or(4),
+                        drops: count(params, "drops", 4)?,
                         intensity: intensity(params, 3.0)?,
                     },
                     span: SpanParams::parse(params)?,
@@ -392,7 +411,7 @@ impl ScenarioRegistry {
                 Ok(Arc::new(BuiltinScenario {
                     label: label_of("phase-shift", params),
                     kind: ScenarioKind::PhaseShift {
-                        phases: params.usize("phases")?.unwrap_or(6),
+                        phases: count(params, "phases", 6)?,
                         intensity: intensity(params, 0.9)?,
                     },
                     span: SpanParams::parse(params)?,
@@ -675,6 +694,13 @@ mod tests {
             ("phase-shift[intensity=NaN]", "intensity"),
             ("hub-burst[start=1e300]", "start"),
             ("nft-mint[duration=inf]", "duration"),
+            ("hub-burst[contracts=18446744073709551615]", "contracts"),
+            ("dex-arb[pools=1001]", "pools"),
+            ("dex-arb[bundle=4096]", "bundle"),
+            ("aa-batch[bundlers=1001]", "bundlers"),
+            ("aa-batch[batch=1000000]", "batch"),
+            ("nft-mint[drops=1001]", "drops"),
+            ("phase-shift[phases=1001]", "phases"),
         ] {
             let err = err_of(reg.resolve(spec));
             assert!(
@@ -682,7 +708,17 @@ mod tests {
                 "{spec}: {err}"
             );
         }
-        for spec in ["nft-mint[intensity=0]", "hub-burst[intensity=100]"] {
+        let err = err_of(reg.resolve("nft-mint[drops=1001]"));
+        assert_eq!(err, "parameter `drops`: `1001` is outside [1, 1000]");
+        for spec in [
+            "nft-mint[intensity=0]",
+            "hub-burst[intensity=100]",
+            "hub-burst[contracts=1000]",
+            "dex-arb[pools=1000;bundle=1000]",
+            "aa-batch[bundlers=1000;batch=1000]",
+            "nft-mint[drops=1000]",
+            "phase-shift[phases=1000]",
+        ] {
             assert!(reg.resolve(spec).is_ok(), "{spec}");
         }
     }

@@ -7,8 +7,8 @@
 //! contract creation, per-contract key/value storage, gas metering — and
 //! drops everything else (memory, precompiles, 256-bit arithmetic).
 //!
-//! Contracts are [`Program`](crate::Program)s of [`Op`]s built from
-//! templates ([`ContractTemplate`](crate::ContractTemplate)); executing a
+//! Contracts run their template's static list of [`Op`]s
+//! ([`ContractTemplate::program`](crate::ContractTemplate::program)); executing a
 //! transaction returns a [`Receipt`](crate::Receipt) whose
 //! [`CallRecord`](crate::CallRecord)s become graph edges.
 

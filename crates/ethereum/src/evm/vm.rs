@@ -3,7 +3,7 @@
 use blockpart_types::{AccountKind, Address, Gas, Timestamp, Wei};
 
 use crate::evm::{GasSchedule, Op};
-use crate::program::{ContractTemplate, Program};
+use crate::program::ContractTemplate;
 use crate::state::World;
 use crate::transaction::{CallKind, CallRecord, Receipt, Transaction, TxPayload, TxStatus};
 
@@ -203,10 +203,8 @@ impl Vm {
                     kind: CallKind::Transaction,
                 });
                 world.transfer(tx.from, tx.to, tx.value);
-                if let Some(program) = world.contract(tx.to).map(|c| c.program.clone()) {
-                    match run(
-                        world, &program, tx.to, tx.from, tx.value, arg, 0, &mut state,
-                    ) {
+                if let Some(program) = world.contract(tx.to).map(|c| c.template.program()) {
+                    match run(world, program, tx.to, tx.from, tx.value, arg, 0, &mut state) {
                         Ok(_) => TxStatus::Success,
                         Err(_) => TxStatus::Failed,
                     }
@@ -242,11 +240,11 @@ impl Vm {
     }
 }
 
-/// Interprets `program` in the frame of contract `self_addr`.
+/// Interprets `ops` in the frame of contract `self_addr`.
 #[allow(clippy::too_many_arguments)]
 fn run(
     world: &mut World,
-    program: &Program,
+    ops: &[Op],
     self_addr: Address,
     caller: Address,
     value: Wei,
@@ -254,7 +252,6 @@ fn run(
     depth: usize,
     state: &mut ExecState,
 ) -> Result<u64, VmError> {
-    let ops = program.ops();
     let mut stack: Vec<u64> = vec![arg];
     let mut pc = 0usize;
 
@@ -373,11 +370,11 @@ fn run(
                     kind: CallKind::Call,
                 });
                 world.transfer(self_addr, to, Wei::new(call_value));
-                let ret = match world.contract(to).map(|c| c.program.clone()) {
+                let ret = match world.contract(to).map(|c| c.template.program()) {
                     Some(callee) if depth + 1 < CALL_DEPTH_LIMIT => {
                         match run(
                             world,
-                            &callee,
+                            callee,
                             to,
                             self_addr,
                             Wei::new(call_value),

@@ -39,8 +39,8 @@ mod transaction;
 pub use block::{Block, BlockSummary};
 pub use chain::{Chain, SyntheticChain};
 pub use pool::TxPool;
-pub use program::{ContractTemplate, Program};
-pub use state::{AccountState, AddressState, ContractState, World};
+pub use program::ContractTemplate;
+pub use state::{AccountState, AddressState, ContractState, Storage, World};
 pub use transaction::{
     CallKind, CallRecord, ExecutedTx, Receipt, Transaction, TxPayload, TxStatus,
 };

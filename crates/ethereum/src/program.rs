@@ -6,48 +6,13 @@
 //! and mint), wallets (relays), factories (create many children — the
 //! paper's Fig. 2 contract 9703), games (occasional payouts to past
 //! players) and registries (storage-heavy, no calls). Each template below
-//! compiles to a small [`Program`] exercising exactly that pattern.
+//! has one small static program exercising exactly that pattern.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::evm::Op;
-
-/// An immutable EVM-lite program (a contract's code).
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_ethereum::{ContractTemplate, Program};
-///
-/// let p = ContractTemplate::Wallet.program();
-/// assert!(!p.ops().is_empty());
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Program(Vec<Op>);
-
-impl Program {
-    /// Wraps a list of instructions.
-    pub fn new(ops: Vec<Op>) -> Self {
-        Program(ops)
-    }
-
-    /// The instructions.
-    pub fn ops(&self) -> &[Op] {
-        &self.0
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Returns `true` for the empty program.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
 
 /// The behavioural archetypes contracts are instantiated from.
 ///
@@ -117,17 +82,29 @@ impl ContractTemplate {
         ContractTemplate::ALL.get(id as usize).copied()
     }
 
-    /// Compiles the template's program.
+    /// The template's program: one static op list, shared by every
+    /// contract of the template, so neither a call nor a state snapshot
+    /// copies code.
     ///
     /// Calling convention: the callee starts with its single argument word
     /// on the stack; `SStore` pops value then key; `Transfer` pops value
     /// then target; `Call` pops argument, value, then target; `Create`
     /// pops endowment then template id.
-    pub fn program(self) -> Program {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use blockpart_ethereum::evm::Op;
+    /// use blockpart_ethereum::ContractTemplate;
+    ///
+    /// let ops = ContractTemplate::Wallet.program();
+    /// assert_eq!(ops.last(), Some(&Op::Stop));
+    /// ```
+    pub fn program(self) -> &'static [Op] {
         use Op::*;
-        let ops = match self {
+        match self {
             // start stack: [arg = recipient index]
-            ContractTemplate::Token => vec![
+            ContractTemplate::Token => &[
                 Caller,    // [arg, caller]
                 CallValue, // [arg, caller, value]
                 SStore,    // storage[caller] = value      [arg]
@@ -141,7 +118,7 @@ impl ContractTemplate {
                 Stop,
             ],
             // start stack: [arg] (ignored)
-            ContractTemplate::Crowdsale => vec![
+            ContractTemplate::Crowdsale => &[
                 Pop,
                 Push(2),
                 SLoad,     // [raised]
@@ -163,7 +140,7 @@ impl ContractTemplate {
                 Stop,
             ],
             // start stack: [arg = destination index]
-            ContractTemplate::Wallet => vec![
+            ContractTemplate::Wallet => &[
                 CallValue, // [dest, value]
                 Transfer,  // relay
                 Push(0),
@@ -171,7 +148,7 @@ impl ContractTemplate {
                 Stop,
             ],
             // start stack: [arg] (ignored)
-            ContractTemplate::Factory => vec![
+            ContractTemplate::Factory => &[
                 Pop,
                 Push(0),
                 SLoad,   // [child template]
@@ -188,7 +165,7 @@ impl ContractTemplate {
                 Stop,
             ],
             // start stack: [arg] (ignored)
-            ContractTemplate::Game => vec![
+            ContractTemplate::Game => &[
                 Pop,
                 Push(1),
                 SLoad,     // [pot]
@@ -217,15 +194,14 @@ impl ContractTemplate {
                 Stop,
             ],
             // start stack: [arg = name hash]
-            ContractTemplate::Registry => vec![
+            ContractTemplate::Registry => &[
                 Caller, // [name, caller]
                 SStore, // storage[name] = caller
                 Push(0),
                 Log,
                 Stop,
             ],
-        };
-        Program::new(ops)
+        }
     }
 
     /// The storage a fresh instance starts with, given the constructor
@@ -272,19 +248,18 @@ mod tests {
     #[test]
     fn all_programs_terminate_with_stop() {
         for t in ContractTemplate::ALL {
-            let p = t.program();
-            assert_eq!(*p.ops().last().unwrap(), Op::Stop, "{t}");
+            assert_eq!(t.program().last(), Some(&Op::Stop), "{t}");
         }
     }
 
     #[test]
     fn game_jump_target_is_in_bounds_and_correct() {
         let p = ContractTemplate::Game.program();
-        for op in p.ops() {
+        for op in p {
             if let Op::JumpI(target) | Op::Jump(target) = op {
                 assert!((*target as usize) < p.len());
                 // the skip target must be the "record winner" sequence
-                assert_eq!(p.ops()[*target as usize], Op::Push(0));
+                assert_eq!(p[*target as usize], Op::Push(0));
             }
         }
     }

@@ -1,12 +1,12 @@
 //! The world state: accounts, contracts, balances and storage.
 
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use blockpart_types::{AccountKind, Address, Wei};
+use blockpart_types::{AccountKind, Address, FastMap, Wei};
 use serde::{Deserialize, Serialize};
 
-use crate::program::{ContractTemplate, Program};
+use crate::program::ContractTemplate;
 
 /// The mutable state of one externally-owned account.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -17,22 +17,135 @@ pub struct AccountState {
     pub nonce: u64,
 }
 
+/// A contract's key/value storage: a base map shared by reference count,
+/// plus a private overlay of the slots written while the base was shared.
+///
+/// Cloning a `Storage` (every snapshot [`World::export_state`] ships)
+/// shares the base and copies only the overlay. A read checks the
+/// overlay, then the base. A write goes straight into the base when
+/// nobody else holds it, folding any overlay in first; otherwise it goes
+/// into the overlay. So a write never copies the base, and a snapshot and
+/// its source never see each other's writes. Only
+/// [`World::install_state`] copies a base, when it folds an overlay into a
+/// base someone else still holds.
+///
+/// Length, equality and iteration cover the union of base and overlay, so
+/// a `Storage` compares, counts and encodes like one plain map.
+///
+/// # Examples
+///
+/// ```
+/// use blockpart_ethereum::{AddressState, ContractTemplate, World};
+/// use blockpart_types::Wei;
+///
+/// let mut world = World::new();
+/// let owner = world.new_user(Wei::ZERO);
+/// let registry = world.create_contract(ContractTemplate::Registry, owner, 0);
+/// world.storage_store(registry, 1, 10);
+/// let Some(AddressState::Contract(snapshot)) = world.export_state(registry) else {
+///     unreachable!()
+/// };
+/// world.storage_store(registry, 2, 20); // the base is shared: overlay
+/// assert_eq!(snapshot.storage.get(2), None);
+/// assert_eq!(world.contract(registry).unwrap().storage.len(), 2);
+/// ```
+#[derive(Clone, Default)]
+pub struct Storage {
+    base: Arc<FastMap<u64, u64>>,
+    overlay: FastMap<u64, u64>,
+    /// Overlay keys the base lacks, so `len` is the union's size.
+    added: usize,
+}
+
+impl Storage {
+    /// The value in slot `key`, if the slot is occupied.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.overlay
+            .get(&key)
+            .or_else(|| self.base.get(&key))
+            .copied()
+    }
+
+    /// The number of occupied slots.
+    pub fn len(&self) -> usize {
+        self.base.len() + self.added
+    }
+
+    /// `true` when no slot is occupied.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every occupied slot with its value, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let unshadowed = self
+            .base
+            .iter()
+            .filter(|(k, _)| !self.overlay.contains_key(k));
+        self.overlay.iter().chain(unshadowed).map(|(&k, &v)| (k, v))
+    }
+
+    fn insert(&mut self, key: u64, value: u64) {
+        if let Some(base) = Arc::get_mut(&mut self.base) {
+            if !self.overlay.is_empty() {
+                base.extend(std::mem::take(&mut self.overlay));
+                self.added = 0;
+            }
+            base.insert(key, value);
+        } else if self.overlay.insert(key, value).is_none() && !self.base.contains_key(&key) {
+            self.added += 1;
+        }
+    }
+
+    /// Folds the overlay into the base, copying the base first if another
+    /// holder remains. The overlay is swapped for an unallocated map, so
+    /// later clones of this storage allocate nothing for it.
+    fn fold(&mut self) {
+        if !self.overlay.is_empty() {
+            Arc::make_mut(&mut self.base).extend(std::mem::take(&mut self.overlay));
+            self.added = 0;
+        }
+    }
+}
+
+impl FromIterator<(u64, u64)> for Storage {
+    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(slots: I) -> Self {
+        Storage {
+            base: Arc::new(slots.into_iter().collect()),
+            overlay: FastMap::default(),
+            added: 0,
+        }
+    }
+}
+
+impl PartialEq for Storage {
+    fn eq(&self, other: &Storage) -> bool {
+        self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
+impl Eq for Storage {}
+
+impl fmt::Debug for Storage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// The mutable state of one contract.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContractState {
-    /// The archetype this contract was instantiated from.
+    /// The archetype this contract was instantiated from; its code is
+    /// [`template.program()`](ContractTemplate::program).
     pub template: ContractTemplate,
-    /// The contract's code.
-    pub program: Program,
     /// Key/value storage (the paper's point: moving a contract between
     /// shards relocates all of this).
     ///
-    /// Copy-on-write: cloning a `ContractState` (a snapshot from
-    /// [`World::export_state`], say) shares the map, and every write goes
-    /// through [`storage_mut`](Self::storage_mut), which copies it first
-    /// if anyone else still holds it. A snapshot and its source therefore
-    /// never see each other's writes.
-    pub storage: Arc<HashMap<u64, u64>>,
+    /// Cloning a `ContractState` (a snapshot from
+    /// [`World::export_state`], say) shares the storage's base map and
+    /// copies only its overlay of recent writes; see [`Storage`]. Writes go
+    /// through [`World::storage_store`].
+    pub storage: Storage,
     /// Current ether balance.
     pub balance: Wei,
     /// Who created the contract.
@@ -44,13 +157,6 @@ impl ContractState {
     /// measure of contract state size.
     pub fn storage_size(&self) -> usize {
         self.storage.len()
-    }
-
-    /// Mutable access to the storage map: the one write path. Copies the
-    /// map first when it is shared with another snapshot, so the write
-    /// stays private to this `ContractState`.
-    pub fn storage_mut(&mut self) -> &mut HashMap<u64, u64> {
-        Arc::make_mut(&mut self.storage)
     }
 }
 
@@ -74,7 +180,7 @@ impl AddressState {
         match self {
             AddressState::Account(_) => 16,
             AddressState::Contract(c) => {
-                16 + c.program.len() as u64 * 8 + c.storage.len() as u64 * 16
+                16 + c.template.program().len() as u64 * 8 + c.storage.len() as u64 * 16
             }
         }
     }
@@ -97,8 +203,8 @@ impl AddressState {
 /// ```
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct World {
-    accounts: HashMap<Address, AccountState>,
-    contracts: HashMap<Address, ContractState>,
+    accounts: FastMap<Address, AccountState>,
+    contracts: FastMap<Address, ContractState>,
     next_index: u64,
 }
 
@@ -107,8 +213,8 @@ impl World {
     /// [`Address::ZERO`].
     pub fn new() -> Self {
         World {
-            accounts: HashMap::new(),
-            contracts: HashMap::new(),
+            accounts: FastMap::default(),
+            contracts: FastMap::default(),
             next_index: 1,
         }
     }
@@ -136,12 +242,11 @@ impl World {
         arg: u64,
     ) -> Address {
         let address = self.allocate_address();
-        let storage = Arc::new(template.initial_storage(arg).into_iter().collect());
+        let storage = template.initial_storage(arg).into_iter().collect();
         self.contracts.insert(
             address,
             ContractState {
                 template,
-                program: template.program(),
                 storage,
                 balance: Wei::ZERO,
                 creator,
@@ -219,9 +324,10 @@ impl World {
 
     /// Extracts a portable snapshot of one address's state, if the world
     /// knows the address. Used by the sharded runtime to ship state
-    /// between shards during two-phase commit. A contract's storage is
-    /// shared with the snapshot, not copied (see
-    /// [`ContractState::storage`]).
+    /// between shards during two-phase commit. A contract's storage base
+    /// is shared with the snapshot, not copied; only its overlay is (see
+    /// [`Storage`]). While the snapshot lives, this world's writes to the
+    /// contract go into its overlay.
     pub fn export_state(&self, address: Address) -> Option<AddressState> {
         if let Some(c) = self.contracts.get(&address) {
             Some(AddressState::Contract(c.clone()))
@@ -247,14 +353,23 @@ impl World {
     }
 
     /// Installs (or overwrites) one address's state from a snapshot.
+    ///
+    /// An installed contract's storage overlay folds into its base. The
+    /// state it replaces is dropped first, so it never counts as another
+    /// holder of the base; the fold copies the base only if some other
+    /// holder remains (a live snapshot, another world). This is the only
+    /// place storage is ever copied, and it leaves the base unshared once
+    /// the last snapshot of it drops, so later writes go straight in.
     pub fn install_state(&mut self, address: Address, state: AddressState) {
         match state {
             AddressState::Account(a) => {
                 self.contracts.remove(&address);
                 self.accounts.insert(address, a);
             }
-            AddressState::Contract(c) => {
+            AddressState::Contract(mut c) => {
                 self.accounts.remove(&address);
+                self.contracts.remove(&address);
+                c.storage.fold();
                 self.contracts.insert(address, c);
             }
         }
@@ -282,12 +397,12 @@ impl World {
     pub fn storage_load(&self, contract: Address, key: u64) -> u64 {
         self.contracts
             .get(&contract)
-            .and_then(|c| c.storage.get(&key))
-            .copied()
+            .and_then(|c| c.storage.get(key))
             .unwrap_or(0)
     }
 
-    /// Writes a contract storage slot.
+    /// Writes a contract storage slot: the one storage write path. The
+    /// write stays private to this world (see [`Storage`]).
     ///
     /// # Panics
     ///
@@ -297,7 +412,7 @@ impl World {
         self.contracts
             .get_mut(&contract)
             .expect("storage write outside a contract")
-            .storage_mut()
+            .storage
             .insert(key, value);
     }
 
@@ -438,7 +553,7 @@ mod tests {
         // a write on the source leaves the exported snapshot as it was
         source.storage_store(c, 1, 11);
         source.storage_store(c, 2, 20);
-        assert_eq!(shipped.storage.get(&1), Some(&10));
+        assert_eq!(shipped.storage.get(1), Some(10));
         assert_eq!(shipped.storage_size(), 1);
 
         // a world that installed the snapshot writes its own copy only
@@ -450,7 +565,7 @@ mod tests {
         assert_eq!(source.storage_load(c, 1), 11);
         assert_eq!(source.storage_load(c, 3), 0);
         assert_eq!(source.contract(c).unwrap().storage_size(), 2);
-        assert_eq!(shipped.storage.get(&1), Some(&10));
+        assert_eq!(shipped.storage.get(1), Some(10));
         assert_eq!(shipped.storage_size(), 1);
     }
 

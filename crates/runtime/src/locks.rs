@@ -5,9 +5,7 @@
 //! deadlock impossible (at the price of aborts, which the report
 //! counts).
 
-use std::collections::HashMap;
-
-use blockpart_types::Address;
+use blockpart_types::{Address, FastMap};
 
 use crate::event::TxId;
 
@@ -29,8 +27,8 @@ use crate::event::TxId;
 /// ```
 #[derive(Debug, Default)]
 pub struct LockTable {
-    held: HashMap<Address, TxId>,
-    by_tx: HashMap<TxId, Vec<Address>>,
+    held: FastMap<Address, TxId>,
+    by_tx: FastMap<TxId, Vec<Address>>,
 }
 
 impl LockTable {

@@ -9,12 +9,12 @@
 //! The engine keeps one input and one emit buffer per worker for the
 //! whole run and reuses them for every batch.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use blockpart_ethereum::evm::{ExecContext, GasSchedule, Vm};
 use blockpart_ethereum::{Receipt, Transaction, World};
 use blockpart_obs::{Collector, Record, Trace};
-use blockpart_types::{Address, ShardId, Timestamp};
+use blockpart_types::{Address, FastMap, ShardId, Timestamp};
 
 use crate::clock::Micros;
 use crate::coordinator::CoordState;
@@ -136,7 +136,7 @@ pub(crate) struct ShardWorker {
     pub locks: LockTable,
     queue: VecDeque<Work>,
     running: Option<Work>,
-    coords: HashMap<TxId, CoordState>,
+    coords: FastMap<TxId, CoordState>,
     pub stats: WorkerStats,
     /// Virtual-clock trace buffer owned by this worker (disabled unless
     /// the engine runs traced). Worker-owned buffers merged in shard
@@ -160,7 +160,7 @@ impl ShardWorker {
             locks: LockTable::new(),
             queue: VecDeque::new(),
             running: None,
-            coords: HashMap::new(),
+            coords: FastMap::default(),
             stats: WorkerStats::default(),
             obs: Trace::disabled(),
             idle_from: 0,
@@ -342,6 +342,10 @@ impl ShardWorker {
         );
         self.stats.aborted_rounds += 1;
         let locked = std::mem::take(&mut coord.locked);
+        // drop the snapshots now, not at the retry: while they live, the
+        // participants' storage bases stay shared and their next install
+        // would have to copy them
+        coord.shipped.clear();
         let attempt = coord.attempt;
         // a round that lost the lock race retries; the terminal attempt
         // drops the transaction instead

@@ -5,8 +5,8 @@
 //! fit in RAM, so the runtime spools snapshots through this store: an
 //! append-only record file plus an `O(V)` in-memory offset index (latest
 //! record wins). Contract programs are **not** stored — every contract in
-//! the workload is instantiated from a [`ContractTemplate`], so a record
-//! holds the template id and the program is recompiled on read; a token
+//! the workload runs its [`ContractTemplate`]'s static program, so a
+//! record holds the template id and nothing is compiled on read; a token
 //! contract with a thousand storage slots costs ~16 KiB on disk instead
 //! of its code plus slots resident.
 
@@ -14,9 +14,8 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use blockpart_ethereum::{AccountState, AddressState, ContractState, ContractTemplate};
+use blockpart_ethereum::{AccountState, AddressState, ContractState, ContractTemplate, Storage};
 use blockpart_types::{Address, Wei};
 
 const TAG_ACCOUNT: u8 = 0;
@@ -106,7 +105,7 @@ impl AccountStateStore {
                 record.extend_from_slice(&(c.storage.len() as u64).to_le_bytes());
                 // Slot order is irrelevant to the map but fixed here so
                 // identical states encode to identical bytes.
-                let mut slots: Vec<(u64, u64)> = c.storage.iter().map(|(&k, &v)| (k, v)).collect();
+                let mut slots: Vec<(u64, u64)> = c.storage.iter().collect();
                 slots.sort_unstable_by_key(|&(k, _)| k);
                 for (k, v) in slots {
                     record.extend_from_slice(&k.to_le_bytes());
@@ -121,8 +120,9 @@ impl AccountStateStore {
         Ok(())
     }
 
-    /// Reads the latest snapshot for `address`, decoding the record and
-    /// recompiling contract programs from their template.
+    /// Reads the latest snapshot for `address`, decoding the record. A
+    /// contract's code is its template's static program, so only the
+    /// template id is read for it.
     pub fn get(&mut self, address: Address) -> io::Result<Option<AddressState>> {
         let Some(&offset) = self.index.get(&address) else {
             return Ok(None);
@@ -165,16 +165,12 @@ impl AccountStateStore {
                 };
                 let balance = Wei::new(word()?);
                 let slots = word()?;
-                let mut storage = HashMap::with_capacity(slots as usize);
-                for _ in 0..slots {
-                    let k = word()?;
-                    let v = word()?;
-                    storage.insert(k, v);
-                }
+                let storage = (0..slots)
+                    .map(|_| Ok((word()?, word()?)))
+                    .collect::<io::Result<Storage>>()?;
                 Ok(Some(AddressState::Contract(ContractState {
                     template,
-                    program: template.program(),
-                    storage: Arc::new(storage),
+                    storage,
                     balance,
                     creator: Address::from_bytes(creator_bytes),
                 })))
@@ -254,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn every_template_recompiles() {
+    fn every_template_roundtrips() {
         let path = temp_path("templates");
         let mut store = AccountStateStore::create(&path).unwrap();
         let mut world = World::new();

@@ -6,7 +6,9 @@
 //! * [`Address`] — a 20-byte account/contract identifier (Ethereum-style);
 //! * [`ShardId`] — which shard a vertex is assigned to;
 //! * [`Timestamp`] / [`Duration`] — simulated wall-clock time in seconds;
-//! * [`BlockNumber`], [`Wei`], [`Gas`] — chain quantities.
+//! * [`BlockNumber`], [`Wei`], [`Gas`] — chain quantities;
+//! * [`FastMap`] — a `HashMap` with the deterministic [`FxHasher`], for
+//!   the runtime's state path.
 //!
 //! # Examples
 //!
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod address;
+mod hash;
 mod parallelism;
 mod quantity;
 mod shard;
@@ -32,6 +35,7 @@ mod storage;
 mod time;
 
 pub use address::{AccountKind, Address};
+pub use hash::{FastMap, FxHasher};
 pub use parallelism::{resolve_workers, split_ranges};
 pub use quantity::{BlockNumber, Gas, Wei};
 pub use shard::{ShardCount, ShardId};

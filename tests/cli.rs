@@ -4,9 +4,9 @@
 //! multi-gigabyte allocation). So is a `--latency-us` or `--arrival-us`
 //! above one minute (a huge one once wrapped the virtual clock and
 //! reported nonsense). So is a strategy or scenario parameter that is
-//! not finite, overflows the clock, or names an absurd intensity (each
-//! once panicked or was silently wrong). And the reports are the same
-//! bytes at any `BLOCKPART_THREADS`.
+//! not finite, overflows the clock, or names an absurd intensity or
+//! count (each once panicked, ran out of memory or was silently wrong).
+//! And the reports are the same bytes at any `BLOCKPART_THREADS`.
 
 use std::process::Command;
 
@@ -82,7 +82,7 @@ fn out_of_range_micros_are_rejected_before_generation() {
 
 #[test]
 fn out_of_range_parameters_are_rejected_before_generation() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 9] = [
         (
             &["study", "--strategies", "r-metis[window=1e300]"],
             "window",
@@ -97,6 +97,19 @@ fn out_of_range_parameters_are_rejected_before_generation() {
         (
             &["live", "--scenario", "dummy-spam[intensity=1e300]"],
             "intensity",
+        ),
+        (
+            &[
+                "live",
+                "--scenario",
+                "hub-burst[contracts=18446744073709551615]",
+            ],
+            "contracts",
+        ),
+        (&["live", "--scenario", "aa-batch[batch=1001]"], "batch"),
+        (
+            &["live", "--scenario", "phase-shift[phases=1001]"],
+            "phases",
         ),
     ];
     for (args, key) in cases {
