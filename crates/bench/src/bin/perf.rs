@@ -28,18 +28,19 @@ options:
   --out PATH         where to write the report (default BENCH.json)
   --check PATH       compare against a baseline BENCH.json and fail on
                      regression (exit code 2)
-  --tolerance F      allowed slowdown versus the baseline (default 0.25)
+  --tolerance F      allowed slowdown versus the baseline, a finite
+                     fraction >= 0 (default 0.25)
   --calibrate        rescale the baseline by the machines' relative speed
                      (probed by chain-gen) before comparing — use when the
                      baseline was recorded on different hardware (CI)
   --obs-gate F       fail (exit code 2) when any replay-obs stage exceeds
-                     its uninstrumented replay twin by more than F
-                     (e.g. 0.05 = 5% instrumentation overhead)
+                     its uninstrumented replay twin by more than F, a
+                     finite fraction >= 0 (e.g. 0.05 = 5% instrumentation
+                     overhead)
   --scale F          override the generator scale, in (0, 1]
   --seed N           override the generator/partitioner seed
   --trials N         timed trials per stage
   --warmup N         untimed warmup runs per stage
-  --workers N        worker threads for the parallel stages (0 = auto)
   --k LIST           comma-separated shard counts (e.g. 2,4,8)
   --help             print this help
 ";
@@ -51,6 +52,16 @@ struct Options {
     tolerance: f64,
     calibrate: bool,
     obs_gate: Option<f64>,
+}
+
+/// Parses a gate allowance: a finite fraction `>= 0`. Under `NaN` or an
+/// infinity every gate comparison is false, so any slowdown would pass;
+/// a negative allowance fails stages that got faster.
+fn allowance(flag: &str, raw: &str) -> Result<f64, String> {
+    raw.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && *v >= 0.0)
+        .ok_or_else(|| format!("invalid {flag} `{raw}`"))
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -77,18 +88,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--calibrate" => calibrate = true,
             "--out" => out = value("--out")?,
             "--check" => check = Some(value("--check")?),
-            "--tolerance" => {
-                tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "invalid --tolerance".to_string())?
-            }
-            "--obs-gate" => {
-                obs_gate = Some(
-                    value("--obs-gate")?
-                        .parse()
-                        .map_err(|_| "invalid --obs-gate".to_string())?,
-                )
-            }
+            "--tolerance" => tolerance = allowance("--tolerance", &value("--tolerance")?)?,
+            "--obs-gate" => obs_gate = Some(allowance("--obs-gate", &value("--obs-gate")?)?),
             "--scale" => {
                 config.scale = value("--scale")?
                     .parse()
@@ -110,11 +111,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 config.warmup = value("--warmup")?
                     .parse()
                     .map_err(|_| "invalid --warmup".to_string())?
-            }
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "invalid --workers".to_string())?
             }
             "--k" => {
                 config.shard_counts = value("--k")?
@@ -160,15 +156,6 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     println!("wrote {} ({} stages)", options.out, report.stages.len());
-
-    for label in ["graph-build", "csr"] {
-        if let Some(speedup) = report.speedup(label) {
-            println!(
-                "{label} speedup: {speedup:.2}x ({} workers)",
-                report.workers_resolved,
-            );
-        }
-    }
 
     let mut obs_gate_failed = false;
     if let Some(max_overhead) = options.obs_gate {
@@ -253,5 +240,41 @@ fn main() -> ExitCode {
         }
     } else {
         ExitCode::from(2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flag: &str, value: &str) -> Result<Options, String> {
+        parse_args(&[flag.to_string(), value.to_string()])
+    }
+
+    fn assert_rejects_non_finite_and_negative(flag: &str) {
+        for bad in ["NaN", "inf", "-0.1"] {
+            match parse(flag, bad) {
+                Ok(_) => panic!("{flag} {bad} was accepted"),
+                Err(message) => assert_eq!(message, format!("invalid {flag} `{bad}`")),
+            }
+        }
+    }
+
+    #[test]
+    fn tolerance_rejects_nan_infinite_and_negative() {
+        assert_rejects_non_finite_and_negative("--tolerance");
+    }
+
+    #[test]
+    fn obs_gate_rejects_nan_infinite_and_negative() {
+        assert_rejects_non_finite_and_negative("--obs-gate");
+    }
+
+    #[test]
+    fn gate_allowances_accept_zero_and_fractions() {
+        for (raw, value) in [("0", 0.0), ("0.25", 0.25)] {
+            assert_eq!(parse("--tolerance", raw).unwrap().tolerance, value);
+            assert_eq!(parse("--obs-gate", raw).unwrap().obs_gate, Some(value));
+        }
     }
 }

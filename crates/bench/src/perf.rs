@@ -18,13 +18,9 @@
 //! the migration path, not timer noise; [`compare_calibrated`] leaves
 //! them unscaled (see [`is_virtual_stage`]).
 //!
-//! Graph build and CSR symmetrization are measured twice, once pinned to
-//! one worker and once at the configured worker count, so the parallel
-//! speedup is part of the recorded data (`graph-build-serial` vs
-//! `graph-build`, `csr-serial` vs `csr`). Both parallel paths are
-//! deterministic in their worker count, so the two rows of each pair
-//! time *the same computation*. The `kway` row times the multilevel
-//! partitioner's default configuration, which runs on one thread.
+//! The `graph-build` and `csr` rows time `InteractionLog::graph_of` and
+//! `Graph::to_csr`, and the `kway` row the multilevel partitioner's
+//! default configuration; all three run on one thread.
 //!
 //! The `scenario-*` stages score hostile workloads from the
 //! [`ScenarioRegistry`] (see
@@ -34,29 +30,21 @@
 //! path's behavior under adversarial traffic, calibration-exempt like
 //! every virtual-clock row.
 //!
-//! The `oocsr-build` and `oocsr-stream-partition` stages time the
-//! out-of-core data path (`blockpart-storage` + `graph::ooc`): the
-//! external-memory CSR build under [`OOCSR_MEM_BUDGET`] — a budget
-//! deliberately far below the resident edge accumulation, the
-//! scaled-down analogue of running paper scale under a 512 MiB cap —
-//! and the LDG/Fennel streaming partitioners consuming the merged row
-//! stream straight from disk. Every stage row additionally records
-//! [`peak_rss_bytes`], the process's resident high-water mark when the
-//! row was pushed, so out-of-core wins are recorded data rather than
-//! anecdote.
+//! Every stage row additionally records [`peak_rss_bytes`], the
+//! process's resident high-water mark when the row was pushed.
 
 use std::time::Instant;
 
 use blockpart_core::{ScenarioRegistry, StrategyRegistry};
 use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart_ethereum::SyntheticChain;
-use blockpart_graph::{InteractionLog, OocCsr};
+use blockpart_graph::InteractionLog;
 use blockpart_live::{LiveConfig, LiveRunner};
 use blockpart_metrics::Json;
-use blockpart_partition::{kway, Fennel, LinearGreedy, MultilevelConfig, PartitionRequest};
+use blockpart_partition::{kway, MultilevelConfig, PartitionRequest};
 use blockpart_runtime::{Assignment, ShardedRuntime};
 use blockpart_shard::ShardSimulator;
-use blockpart_types::{resolve_workers, Duration, ShardCount};
+use blockpart_types::{Duration, ShardCount};
 
 /// Schema identifier stamped into every `BENCH.json`.
 pub const SCHEMA: &str = "blockpart.bench/1";
@@ -66,13 +54,6 @@ pub const STRATEGIES: [&str; 3] = ["hash", "metis", "r-metis"];
 
 /// The adversarial scenarios scored by the `scenario-*` stages.
 pub const SCENARIOS: [&str; 2] = ["hub-burst", "dummy-spam"];
-
-/// Edge-accumulation budget for the `oocsr-*` stages, in bytes. Far
-/// below the resident edge set at every configured scale — the
-/// accumulator overflows into multiple sorted on-disk runs even at the
-/// CI workload, so the rows time the genuine external sort/merge path
-/// (the scaled-down analogue of paper scale against a 512 MiB budget).
-pub const OOCSR_MEM_BUDGET: u64 = 256 * 1024;
 
 /// The process's peak resident set size in bytes — `VmHWM` from
 /// `/proc/self/status` — or `0` on platforms without procfs. The kernel
@@ -118,8 +99,6 @@ pub struct PerfConfig {
     pub warmup: usize,
     /// Shard counts swept by the per-strategy stages.
     pub shard_counts: Vec<u16>,
-    /// Worker threads for the parallel stages (`0` = automatic).
-    pub workers: usize,
     /// Whether this is the reduced CI profile.
     pub quick: bool,
 }
@@ -133,7 +112,6 @@ impl PerfConfig {
             trials: 5,
             warmup: 1,
             shard_counts: vec![2, 4, 8],
-            workers: 0,
             quick: false,
         }
     }
@@ -146,7 +124,6 @@ impl PerfConfig {
             trials: 3,
             warmup: 1,
             shard_counts: vec![2],
-            workers: 0,
             quick: true,
         }
     }
@@ -191,8 +168,6 @@ impl StageResult {
 pub struct PerfReport {
     /// The configuration the run used.
     pub config: PerfConfig,
-    /// The worker count the parallel stages actually ran with.
-    pub workers_resolved: usize,
     /// All stage timings, in matrix order.
     pub stages: Vec<StageResult>,
 }
@@ -210,14 +185,6 @@ impl PerfReport {
             .find(|s| s.stage == stage && s.strategy.as_deref() == strategy && s.k == k)
     }
 
-    /// The parallel speedup of a serial/parallel stage pair, when both
-    /// rows exist (`> 1` means the parallel row was faster).
-    pub fn speedup(&self, stage: &str) -> Option<f64> {
-        let serial = self.find(&format!("{stage}-serial"), None, None)?;
-        let parallel = self.find(stage, None, None)?;
-        (parallel.median_ms > 0.0).then(|| serial.median_ms / parallel.median_ms)
-    }
-
     /// Renders the report as the stable `BENCH.json` document.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -227,7 +194,6 @@ impl PerfReport {
             ("quick", Json::from(self.config.quick)),
             ("trials", Json::from(self.config.trials)),
             ("warmup", Json::from(self.config.warmup)),
-            ("workers", Json::from(self.workers_resolved)),
             (
                 "shard_counts",
                 Json::arr(self.config.shard_counts.iter().map(|&k| Json::from(k))),
@@ -317,13 +283,11 @@ impl PerfReport {
                 trials: u64_field("trials")? as usize,
                 warmup: u64_field("warmup")? as usize,
                 shard_counts,
-                workers: u64_field("workers")? as usize,
                 quick: doc
                     .get("quick")
                     .and_then(Json::as_bool)
                     .ok_or("missing quick")?,
             },
-            workers_resolved: u64_field("workers")? as usize,
             stages,
         })
     }
@@ -469,7 +433,6 @@ pub fn compare_calibrated(
     let factor = calibration_factor(current, baseline).unwrap_or(1.0);
     let scaled = PerfReport {
         config: baseline.config.clone(),
-        workers_resolved: baseline.workers_resolved,
         stages: baseline
             .stages
             .iter()
@@ -525,7 +488,6 @@ fn throughput(items: usize, ms: f64) -> Option<f64> {
 /// Runs the full workload matrix under `config`, printing one progress
 /// line per stage to stderr.
 pub fn run(config: &PerfConfig) -> PerfReport {
-    let workers = resolve_workers(config.workers);
     let mut stages: Vec<StageResult> = Vec::new();
     let mut push =
         |stage: &str, strategy: Option<&str>, k: Option<u16>, ms: f64, tps: Option<f64>| {
@@ -551,84 +513,14 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     });
     push("chain-gen", None, None, ms, throughput(chain.txs.len(), ms));
 
-    // ---- graph build: serial vs parallel -------------------------------
+    // ---- graph build and CSR symmetrization ----------------------------
     let events = chain.log.events();
-    let (ms, _) = time_stage(config.warmup, config.trials, || {
-        InteractionLog::graph_of_workers(events, 1)
-    });
-    push(
-        "graph-build-serial",
-        None,
-        None,
-        ms,
-        throughput(events.len(), ms),
-    );
     let (ms, graph) = time_stage(config.warmup, config.trials, || {
-        InteractionLog::graph_of_workers(events, workers)
+        InteractionLog::graph_of(events)
     });
     push("graph-build", None, None, ms, throughput(events.len(), ms));
-
-    // ---- CSR symmetrization: serial vs parallel ------------------------
-    let (ms, _) = time_stage(config.warmup, config.trials, || graph.to_csr_workers(1));
-    push(
-        "csr-serial",
-        None,
-        None,
-        ms,
-        throughput(graph.edge_count(), ms),
-    );
-    let (ms, csr) = time_stage(config.warmup, config.trials, || {
-        graph.to_csr_workers(workers)
-    });
+    let (ms, csr) = time_stage(config.warmup, config.trials, || graph.to_csr());
     push("csr", None, None, ms, throughput(graph.edge_count(), ms));
-
-    // ---- out-of-core CSR build + streaming partitioning ----------------
-    // The spill path: symmetrize into budgeted sorted runs on disk, then
-    // stream the k-way merge into the LDG/Fennel partitioners without
-    // materializing the CSR arrays. OOCSR_MEM_BUDGET keeps the
-    // accumulator overflowing at every configured scale, so these rows
-    // time genuine external-memory work.
-    let spill_root = std::env::temp_dir();
-    let (ms, _) = time_stage(config.warmup, config.trials, || {
-        let ooc = OocCsr::build(&graph, &spill_root, OOCSR_MEM_BUDGET).expect("out-of-core build");
-        ooc.finish().expect("remove spill session");
-    });
-    push(
-        "oocsr-build",
-        None,
-        None,
-        ms,
-        throughput(graph.edge_count(), ms),
-    );
-    let ooc = OocCsr::build(&graph, &spill_root, OOCSR_MEM_BUDGET).expect("out-of-core build");
-    for &k in &config.shard_counts {
-        let shard_count = ShardCount::new(k).expect("non-zero shard count");
-        let (ms, _) = time_stage(config.warmup, config.trials, || {
-            LinearGreedy::default()
-                .partition_ooc(&ooc, shard_count)
-                .expect("stream rows from spill")
-        });
-        push(
-            "oocsr-stream-partition",
-            Some("ldg"),
-            Some(k),
-            ms,
-            throughput(ooc.node_count(), ms),
-        );
-        let (ms, _) = time_stage(config.warmup, config.trials, || {
-            Fennel::default()
-                .partition_ooc(&ooc, shard_count)
-                .expect("stream rows from spill")
-        });
-        push(
-            "oocsr-stream-partition",
-            Some("fennel"),
-            Some(k),
-            ms,
-            throughput(ooc.node_count(), ms),
-        );
-    }
-    ooc.finish().expect("remove spill session");
 
     // ---- multilevel coarsen+partition kernel ---------------------------
     let multilevel = MultilevelConfig {
@@ -843,7 +735,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
 
     PerfReport {
         config: config.clone(),
-        workers_resolved: workers,
         stages,
     }
 }
@@ -853,14 +744,8 @@ mod tests {
     use super::*;
 
     fn report_with(stages: Vec<StageResult>) -> PerfReport {
-        // `workers` matches `workers_resolved` because the JSON document
-        // records only the resolved count (round-trips normalize `0`).
         PerfReport {
-            config: PerfConfig {
-                workers: 2,
-                ..PerfConfig::quick()
-            },
-            workers_resolved: 2,
+            config: PerfConfig::quick(),
             stages,
         }
     }
@@ -929,6 +814,18 @@ mod tests {
             .replace(",\"peak_rss_bytes\":4096", "");
         let parsed = PerfReport::from_json(&Json::parse(&stripped).unwrap()).unwrap();
         assert_eq!(parsed.stages[0].peak_rss_bytes, 0);
+    }
+
+    #[test]
+    fn documents_with_a_workers_header_still_parse() {
+        // older schema-1 documents carry a `workers` header, which
+        // parsing ignores like any other unknown field
+        let report = report_with(vec![stage("csr", None, None, 1.0)]);
+        let rendered = report.to_json().render();
+        let older = rendered.replacen("\"warmup\":1,", "\"warmup\":1,\"workers\":2,", 1);
+        assert_ne!(older, rendered);
+        let parsed = PerfReport::from_json(&Json::parse(&older).unwrap()).unwrap();
+        assert_eq!(parsed, report);
     }
 
     #[test]
@@ -1032,11 +929,11 @@ mod tests {
     fn compare_noise_floor_absorbs_tiny_stage_jitter() {
         // a 9 ms stage jumping 30% (2.7 ms) is timer noise, not a
         // regression — the absolute floor must absorb it
-        let baseline = report_with(vec![stage("csr-serial", None, None, 9.0)]);
-        let noisy = report_with(vec![stage("csr-serial", None, None, 11.7)]);
+        let baseline = report_with(vec![stage("csr", None, None, 9.0)]);
+        let noisy = report_with(vec![stage("csr", None, None, 11.7)]);
         assert!(compare(&noisy, &baseline, 0.25).0.is_empty());
         // but a genuine blow-up on a tiny stage still fails
-        let blown = report_with(vec![stage("csr-serial", None, None, 40.0)]);
+        let blown = report_with(vec![stage("csr", None, None, 40.0)]);
         assert_eq!(compare(&blown, &baseline, 0.25).0.len(), 1);
     }
 
@@ -1072,16 +969,6 @@ mod tests {
     fn median_of_odd_and_even() {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
-    }
-
-    #[test]
-    fn speedup_reads_stage_pairs() {
-        let report = report_with(vec![
-            stage("graph-build-serial", None, None, 10.0),
-            stage("graph-build", None, None, 4.0),
-        ]);
-        assert_eq!(report.speedup("graph-build"), Some(2.5));
-        assert_eq!(report.speedup("csr"), None);
     }
 
     #[test]

@@ -1,172 +1,11 @@
-//! Incremental construction of blockchain graphs, plus the sharded
-//! parallel bulk-build path used by the hot `InteractionLog` entry points.
+//! Incremental construction of blockchain graphs.
 
 use std::collections::HashMap;
 
-use blockpart_types::{resolve_workers, AccountKind, Address};
+use blockpart_types::{AccountKind, Address};
 
-use crate::csr::{edge_key, merge_sorted_shards};
-use crate::event::Interaction;
 use crate::graph::Graph;
 use crate::node::NodeId;
-
-/// Below this many events the parallel build's thread and merge overhead
-/// outweighs its speedup; fall back to the incremental builder.
-const PARALLEL_EVENT_THRESHOLD: usize = 8_192;
-
-/// One worker's accumulation: a sorted `(edge_key, weight)` shard plus
-/// the chunk's sparse activity-weight contributions (`vertex, weight`).
-/// Sparse because a chunk touches only its own addresses — dense
-/// per-worker vectors would cost O(workers · V) peak memory.
-type EdgeWeightShard = (Vec<(u64, u64)>, Vec<(u32, u64)>);
-
-/// Builds the graph of a time-ordered slice of interactions on `workers`
-/// threads (`0` = automatic).
-///
-/// This is the bulk counterpart of feeding an [`GraphBuilder`] one event
-/// at a time, and it produces **byte-identical** output for every worker
-/// count (including the sequential fallback):
-///
-/// 1. each worker interns the addresses of one contiguous event chunk in
-///    local first-appearance order; merging the chunk lists in chunk
-///    order reproduces the global first-appearance numbering exactly;
-/// 2. each worker accumulates a private adjacency map and activity-weight
-///    vector over its chunk (sums are order-independent);
-/// 3. the per-worker maps are drained into sorted edge shards and merged
-///    row-by-row into the CSR arrays by a parallel pass over row ranges.
-pub(crate) fn graph_of_events(events: &[Interaction], workers: usize) -> Graph {
-    // An explicit worker request is honoured even on tiny inputs (the
-    // determinism tests rely on it); automatic selection applies the
-    // overhead threshold.
-    let auto = workers == 0;
-    let workers = resolve_workers(workers);
-    if workers == 1 || events.is_empty() || (auto && events.len() < PARALLEL_EVENT_THRESHOLD) {
-        let mut b = GraphBuilder::new();
-        for e in events {
-            b.touch(e.from, e.from_kind);
-            b.touch(e.to, e.to_kind);
-            b.add_interaction(e.from, e.to, e.weight);
-        }
-        return b.build();
-    }
-
-    let chunks: Vec<&[Interaction]> = events.chunks(events.len().div_ceil(workers)).collect();
-
-    // ---- Phase 1: chunk-local interning, merged in chunk order ----------
-    let mut locals: Vec<Option<Vec<(Address, bool)>>> = Vec::new();
-    locals.resize_with(chunks.len(), || None);
-    crossbeam::thread::scope(|scope| {
-        for (slot, chunk) in locals.iter_mut().zip(&chunks) {
-            scope.spawn(move |_| {
-                let mut seen: HashMap<Address, usize> = HashMap::new();
-                let mut order: Vec<(Address, bool)> = Vec::new();
-                let mut note = |address: Address, kind: AccountKind| match seen.entry(address) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        order[*e.get()].1 |= kind.is_contract();
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(order.len());
-                        order.push((address, kind.is_contract()));
-                    }
-                };
-                for e in *chunk {
-                    note(e.from, e.from_kind);
-                    note(e.to, e.to_kind);
-                }
-                *slot = Some(order);
-            });
-        }
-    })
-    .expect("interning worker panicked");
-
-    let mut index: HashMap<Address, NodeId> = HashMap::new();
-    let mut addresses: Vec<Address> = Vec::new();
-    let mut contract: Vec<bool> = Vec::new();
-    for local in locals.into_iter().map(|l| l.expect("chunk interned")) {
-        for (address, is_contract) in local {
-            match index.entry(address) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    contract[e.get().index()] |= is_contract;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let id = NodeId::new(
-                        u32::try_from(addresses.len()).expect("graph exceeds u32 vertex capacity"),
-                    );
-                    e.insert(id);
-                    addresses.push(address);
-                    contract.push(is_contract);
-                }
-            }
-        }
-    }
-    let n = addresses.len();
-
-    // ---- Phase 2: sharded edge + weight accumulation --------------------
-    let mut shards: Vec<Option<EdgeWeightShard>> = Vec::new();
-    shards.resize_with(chunks.len(), || None);
-    let index_ref = &index;
-    crossbeam::thread::scope(|scope| {
-        for (slot, chunk) in shards.iter_mut().zip(&chunks) {
-            scope.spawn(move |_| {
-                let mut adjacency: HashMap<u64, u64> = HashMap::new();
-                let mut weights: HashMap<u32, u64> = HashMap::new();
-                for e in *chunk {
-                    let u = index_ref[&e.from].as_u32();
-                    let v = index_ref[&e.to].as_u32();
-                    *weights.entry(u).or_insert(0) += e.weight;
-                    if u == v {
-                        continue;
-                    }
-                    *weights.entry(v).or_insert(0) += e.weight;
-                    *adjacency.entry(edge_key(u, v)).or_insert(0) += e.weight;
-                }
-                let mut sorted: Vec<(u64, u64)> = adjacency.into_iter().collect();
-                sorted.sort_unstable_by_key(|&(k, _)| k);
-                *slot = Some((sorted, weights.into_iter().collect()));
-            });
-        }
-    })
-    .expect("edge accumulation worker panicked");
-    let (edge_shards, weight_shards): (Vec<_>, Vec<_>) = shards
-        .into_iter()
-        .map(|s| s.expect("chunk accumulated"))
-        .unzip();
-
-    // ---- Phase 3: parallel CSR merge ------------------------------------
-    let (offsets, raw_targets, edge_weights) = merge_sorted_shards(n, &edge_shards, workers);
-
-    // Scatter the sparse weight contributions; indexed u64 addition is
-    // commutative, so the shard order cannot affect the result.
-    let mut weights = vec![0u64; n];
-    for shard in &weight_shards {
-        for &(u, w) in shard {
-            weights[u as usize] += w;
-        }
-    }
-
-    let kinds: Vec<AccountKind> = contract
-        .iter()
-        .map(|&c| {
-            if c {
-                AccountKind::Contract
-            } else {
-                AccountKind::ExternallyOwned
-            }
-        })
-        .collect();
-    let total_edge_weight = edge_weights.iter().sum();
-    let targets: Vec<NodeId> = raw_targets.into_iter().map(NodeId::new).collect();
-    Graph::from_parts(
-        addresses,
-        kinds,
-        weights,
-        offsets,
-        targets,
-        edge_weights,
-        total_edge_weight,
-        index,
-    )
-}
 
 /// Builds a [`Graph`] by accumulating interactions between addresses.
 ///

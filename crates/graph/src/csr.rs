@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use blockpart_types::split_ranges;
 use serde::{Deserialize, Serialize};
 
 /// A symmetric (undirected) weighted graph in compressed-sparse-row form.
@@ -212,106 +211,6 @@ impl Csr {
         }
         Ok(())
     }
-}
-
-/// Packs a directed edge `(u, v)` into the sort key used by the parallel
-/// and out-of-core CSR passes: rows stay contiguous and targets sort
-/// within a row. Public so the spill-to-disk builders in
-/// [`crate::ooc`] and `blockpart-storage` share the exact key discipline
-/// of the in-memory merge.
-pub const fn edge_key(u: u32, v: u32) -> u64 {
-    ((u as u64) << 32) | v as u64
-}
-
-/// One worker's slice of CSR arrays: per-row lengths, targets, weights.
-type CsrSegment = (Vec<usize>, Vec<u32>, Vec<u64>);
-
-/// Merges per-worker sorted edge shards into CSR-shaped arrays.
-///
-/// Each shard is a list of `(edge_key(u, v), weight)` pairs sorted by key
-/// (as produced by draining a per-worker accumulation map and sorting).
-/// The output is `(offsets, targets, weights)` where row `u` spans
-/// `offsets[u]..offsets[u + 1]`, targets are sorted within each row, and
-/// duplicate keys across shards merge by summing their weights.
-///
-/// The result is a pure function of the *multiset* of `(key, weight)`
-/// pairs: how the pairs were distributed over shards — and how rows are
-/// distributed over `workers` here — never changes the output. That is
-/// the determinism contract behind every parallel graph pass, and it is
-/// why the external (spill-to-disk) merge in [`crate::ooc`] produces
-/// byte-identical CSR arrays: both are the same pure function of the
-/// multiset, evaluated by different schedules.
-pub fn merge_sorted_shards(
-    n: usize,
-    shards: &[Vec<(u64, u64)>],
-    workers: usize,
-) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
-    let ranges = split_ranges(n, workers);
-    let mut parts: Vec<Option<CsrSegment>> = Vec::new();
-    parts.resize_with(ranges.len(), || None);
-    if ranges.len() <= 1 {
-        for (slot, range) in parts.iter_mut().zip(&ranges) {
-            *slot = Some(merge_row_range(shards, range.clone()));
-        }
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for (slot, range) in parts.iter_mut().zip(&ranges) {
-                let range = range.clone();
-                scope.spawn(move |_| *slot = Some(merge_row_range(shards, range)));
-            }
-        })
-        .expect("csr merge worker panicked");
-    }
-
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let parts: Vec<_> = parts
-        .into_iter()
-        .map(|p| p.expect("range merged"))
-        .collect();
-    let total: usize = parts.iter().map(|(_, t, _)| t.len()).sum();
-    let mut targets = Vec::with_capacity(total);
-    let mut weights = Vec::with_capacity(total);
-    for (lens, t, w) in parts {
-        let mut at = *offsets.last().expect("offsets start non-empty");
-        for len in lens {
-            at += len;
-            offsets.push(at);
-        }
-        targets.extend_from_slice(&t);
-        weights.extend_from_slice(&w);
-    }
-    (offsets, targets, weights)
-}
-
-/// Merges the rows `range` out of every shard: a scatter-free k-way merge
-/// that concatenates the shards' row slices, sorts, and sums duplicates.
-fn merge_row_range(shards: &[Vec<(u64, u64)>], range: std::ops::Range<usize>) -> CsrSegment {
-    let lo_key = (range.start as u64) << 32;
-    let hi_key = (range.end as u64) << 32;
-    let mut scratch: Vec<(u64, u64)> = Vec::new();
-    for shard in shards {
-        let lo = shard.partition_point(|&(k, _)| k < lo_key);
-        let hi = shard.partition_point(|&(k, _)| k < hi_key);
-        scratch.extend_from_slice(&shard[lo..hi]);
-    }
-    scratch.sort_unstable_by_key(|&(k, _)| k);
-    let mut lens = vec![0usize; range.len()];
-    let mut targets = Vec::with_capacity(scratch.len());
-    let mut weights = Vec::with_capacity(scratch.len());
-    let mut i = 0;
-    while i < scratch.len() {
-        let (k, mut w) = scratch[i];
-        i += 1;
-        while i < scratch.len() && scratch[i].0 == k {
-            w += scratch[i].1;
-            i += 1;
-        }
-        lens[(k >> 32) as usize - range.start] += 1;
-        targets.push(k as u32);
-        weights.push(w);
-    }
-    (lens, targets, weights)
 }
 
 impl fmt::Display for Csr {

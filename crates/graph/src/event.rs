@@ -1,8 +1,9 @@
 //! Time-ordered interaction logs and windowed graph construction.
 
-use blockpart_types::{AccountKind, Address, StorageBackend, Timestamp};
+use blockpart_types::{AccountKind, Address, Timestamp};
 use serde::{Deserialize, Serialize};
 
+use crate::builder::GraphBuilder;
 use crate::graph::Graph;
 
 /// One timestamped interaction between two addresses.
@@ -146,51 +147,17 @@ impl InteractionLog {
         Self::graph_of(self.window(start, end))
     }
 
-    /// Builds a graph from a slice of interactions.
-    ///
-    /// Large slices are built by the sharded parallel path (equivalent to
-    /// [`graph_of_workers`](Self::graph_of_workers) with automatic worker
-    /// selection); the output is identical either way.
+    /// Builds a graph from a slice of interactions: each event touches
+    /// both endpoints with their kinds, then records the interaction
+    /// (see [`GraphBuilder`]).
     pub fn graph_of(events: &[Interaction]) -> Graph {
-        Self::graph_of_workers(events, 0)
-    }
-
-    /// Builds a graph from a slice of interactions on `workers` threads
-    /// (`0` = automatic).
-    ///
-    /// Every worker count produces byte-identical output — vertex
-    /// numbering stays global first-appearance order and adjacency rows
-    /// stay sorted — so this knob trades only wall-clock time.
-    pub fn graph_of_workers(events: &[Interaction], workers: usize) -> Graph {
-        crate::builder::graph_of_events(events, workers)
-    }
-
-    /// Builds a graph from a slice of interactions under the given
-    /// [`StorageBackend`].
-    ///
-    /// [`StorageBackend::InMemory`] is exactly
-    /// [`graph_of_workers`](Self::graph_of_workers). The spill backend
-    /// routes the edge accumulation through the external-memory builder
-    /// in [`crate::ooc`], which ignores `workers` (the external merge is
-    /// a streaming schedule) **without changing the output**: wherever
-    /// both backends fit, the results are byte-identical.
-    ///
-    /// Memory contract (spill): resident state is the address interner,
-    /// per-vertex arrays and the final graph — `O(V + E_distinct)`; the
-    /// `O(events)` edge accumulation is bounded by the backend's budget.
-    pub fn graph_of_backend(
-        events: &[Interaction],
-        backend: &StorageBackend,
-        workers: usize,
-    ) -> std::io::Result<Graph> {
-        match backend {
-            StorageBackend::InMemory => Ok(Self::graph_of_workers(events, workers)),
-            StorageBackend::Spill { .. } => {
-                let mut b = crate::ooc::OocGraphBuilder::new(backend)?;
-                b.push_chunk(events)?;
-                b.finish()
-            }
+        let mut b = GraphBuilder::new();
+        for e in events {
+            b.touch(e.from, e.from_kind);
+            b.touch(e.to, e.to_kind);
+            b.add_interaction(e.from, e.to, e.weight);
         }
+        b.build()
     }
 }
 

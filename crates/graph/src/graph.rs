@@ -199,108 +199,30 @@ impl Graph {
     /// undirected edge whose weight is the sum. Vertex weights carry over.
     /// Vertices with zero activity get weight 1 so balance constraints stay
     /// well-defined (METIS does the same with unit weights).
-    ///
-    /// Large graphs symmetrize on the parallel CSR pass (equivalent to
-    /// [`to_csr_workers`](Self::to_csr_workers) with automatic worker
-    /// selection); the output is identical either way.
     pub fn to_csr(&self) -> Csr {
-        self.to_csr_workers(0)
-    }
-
-    /// Builds the symmetric CSR view on `workers` threads (`0` =
-    /// automatic). Byte-identical output for every worker count.
-    pub fn to_csr_workers(&self, workers: usize) -> Csr {
         let n = self.node_count();
-        // Explicit worker requests bypass the small-graph threshold so the
-        // parallel path can be pinned down in tests.
-        let auto = workers == 0;
-        let workers = blockpart_types::resolve_workers(workers);
         let vwgt: Vec<u64> = self.node_weights.iter().map(|&w| w.max(1)).collect();
-        if workers == 1 || (auto && self.edge_count() < 8_192) {
-            // Accumulate undirected neighbour weights.
-            let mut sym: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-            for e in self.edges() {
-                let (u, v) = (e.source.index(), e.target.index());
-                *sym[u].entry(v as u32).or_insert(0) += e.weight;
-                *sym[v].entry(u as u32).or_insert(0) += e.weight;
-            }
-            let mut xadj = Vec::with_capacity(n + 1);
-            let mut adjncy = Vec::new();
-            let mut adjwgt = Vec::new();
-            xadj.push(0usize);
-            for row in &sym {
-                let mut sorted: Vec<(u32, u64)> = row.iter().map(|(&t, &w)| (t, w)).collect();
-                sorted.sort_unstable_by_key(|&(t, _)| t);
-                for (t, w) in sorted {
-                    adjncy.push(t);
-                    adjwgt.push(w);
-                }
-                xadj.push(adjncy.len());
-            }
-            return Csr::from_parts(xadj, adjncy, adjwgt, vwgt);
+        // Accumulate undirected neighbour weights.
+        let mut sym: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
+        for e in self.edges() {
+            let (u, v) = (e.source.index(), e.target.index());
+            *sym[u].entry(v as u32).or_insert(0) += e.weight;
+            *sym[v].entry(u as u32).or_insert(0) += e.weight;
         }
-
-        // Each worker scans a contiguous source range, emitting both
-        // directions of every directed edge into a private sorted shard;
-        // the parallel row merge then sums the direction pairs. The shard
-        // multiset is independent of the range split, so the result is
-        // byte-identical for every worker count.
-        let ranges = blockpart_types::split_ranges(n, workers);
-        let mut shards: Vec<Option<Vec<(u64, u64)>>> = Vec::new();
-        shards.resize_with(ranges.len(), || None);
-        crossbeam::thread::scope(|scope| {
-            for (slot, range) in shards.iter_mut().zip(&ranges) {
-                let range = range.clone();
-                scope.spawn(move |_| {
-                    let mut acc: HashMap<u64, u64> = HashMap::new();
-                    for u in range {
-                        for e in self.out_edges(NodeId::new(u as u32)) {
-                            let v = e.target.as_u32();
-                            *acc.entry(crate::csr::edge_key(u as u32, v)).or_insert(0) += e.weight;
-                            *acc.entry(crate::csr::edge_key(v, u as u32)).or_insert(0) += e.weight;
-                        }
-                    }
-                    let mut sorted: Vec<(u64, u64)> = acc.into_iter().collect();
-                    sorted.sort_unstable_by_key(|&(k, _)| k);
-                    *slot = Some(sorted);
-                });
+        let mut xadj = Vec::with_capacity(n + 1);
+        let mut adjncy = Vec::new();
+        let mut adjwgt = Vec::new();
+        xadj.push(0usize);
+        for row in &sym {
+            let mut sorted: Vec<(u32, u64)> = row.iter().map(|(&t, &w)| (t, w)).collect();
+            sorted.sort_unstable_by_key(|&(t, _)| t);
+            for (t, w) in sorted {
+                adjncy.push(t);
+                adjwgt.push(w);
             }
-        })
-        .expect("csr symmetrize worker panicked");
-        let shards: Vec<Vec<(u64, u64)>> = shards
-            .into_iter()
-            .map(|s| s.expect("range symmetrized"))
-            .collect();
-        let (xadj, adjncy, adjwgt) = crate::csr::merge_sorted_shards(n, &shards, workers);
+            xadj.push(adjncy.len());
+        }
         Csr::from_parts(xadj, adjncy, adjwgt, vwgt)
-    }
-
-    /// Builds the symmetric CSR view under the given
-    /// [`StorageBackend`](blockpart_types::StorageBackend).
-    ///
-    /// `InMemory` is exactly [`to_csr_workers`](Self::to_csr_workers).
-    /// The spill backend symmetrizes through the external-memory path in
-    /// [`crate::ooc`], which ignores `workers` (the external merge is a
-    /// streaming schedule) **without changing the output**: wherever both
-    /// backends fit, the results are byte-identical.
-    ///
-    /// Memory contract (spill): resident state is the vertex-weight array
-    /// and the final CSR — the `O(E)` symmetrized accumulation is bounded
-    /// by the backend's budget. To avoid materializing the CSR entirely,
-    /// use [`crate::ooc::OocCsr::build`] and stream
-    /// [`rows`](crate::ooc::OocCsr::rows) instead.
-    pub fn to_csr_backend(
-        &self,
-        backend: &blockpart_types::StorageBackend,
-        workers: usize,
-    ) -> std::io::Result<Csr> {
-        match backend {
-            blockpart_types::StorageBackend::InMemory => Ok(self.to_csr_workers(workers)),
-            blockpart_types::StorageBackend::Spill {
-                dir,
-                mem_budget_bytes,
-            } => crate::ooc::OocCsr::build(self, dir, *mem_budget_bytes)?.into_csr(),
-        }
     }
 
     /// Rebuilds the address → node index after deserialization.

@@ -19,6 +19,10 @@
 //!   neighbourhood extraction;
 //! * [`io`] — the plain-text edge-list trace format and DOT export.
 //!
+//! Graphs are built by [`GraphBuilder`], directly or from a log slice by
+//! [`InteractionLog::graph_of`], and symmetrized by [`Graph::to_csr`]; all
+//! of it runs on the calling thread over resident data.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,13 +50,11 @@ mod event;
 mod graph;
 pub mod io;
 mod node;
-pub mod ooc;
 
 pub use builder::GraphBuilder;
-pub use csr::{edge_key, merge_sorted_shards, Csr};
+pub use csr::Csr;
 pub use event::{Interaction, InteractionLog};
 pub use graph::{EdgeRef, Graph, NodeRef};
 pub use node::NodeId;
-pub use ooc::{CsrRowStream, OocCsr, OocGraphBuilder};
 
-pub use blockpart_types::{AccountKind, Address, StorageBackend};
+pub use blockpart_types::{AccountKind, Address};

@@ -136,44 +136,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_build_matches_sequential(
-        raw in proptest::collection::vec(interaction_strategy(), 0..200),
-        workers in 2usize..6,
-    ) {
-        let log = log_from(raw);
-        let serial = InteractionLog::graph_of_workers(log.events(), 1);
-        let parallel = InteractionLog::graph_of_workers(log.events(), workers);
-
-        // identical vertex numbering, kinds and weights …
-        prop_assert_eq!(serial.node_count(), parallel.node_count());
-        for (a, b) in serial.nodes().zip(parallel.nodes()) {
-            prop_assert_eq!(a, b);
-        }
-        // … and identical adjacency (edge iteration covers every row in
-        // order, so equality here is byte-identity of the CSR arrays)
-        prop_assert_eq!(serial.edge_count(), parallel.edge_count());
-        for (a, b) in serial.edges().zip(parallel.edges()) {
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(serial.total_edge_weight(), parallel.total_edge_weight());
-        // the symmetric views agree too (Csr derives PartialEq)
-        prop_assert_eq!(serial.to_csr(), parallel.to_csr());
-    }
-
-    #[test]
-    fn parallel_csr_matches_sequential(
-        raw in proptest::collection::vec(interaction_strategy(), 0..200),
-        workers in 2usize..6,
-    ) {
-        let log = log_from(raw);
-        let g = InteractionLog::graph_of(log.events());
-        let serial = g.to_csr_workers(1);
-        let parallel = g.to_csr_workers(workers);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert!(parallel.validate().is_ok());
-    }
-
-    #[test]
     fn bfs_reaches_exactly_the_component(
         (n, edges) in (2usize..40).prop_flat_map(|n| {
             let edge = (0..n as u32, 0..n as u32, 1u64..5)

@@ -60,7 +60,7 @@ pub use kl::DistributedKl;
 pub use metrics::CutMetrics;
 pub use multilevel::{kway, kway_traced, MultilevelConfig, MultilevelPartitioner};
 pub use partition::Partition;
-pub use streaming::{Fennel, LinearGreedy, RowResult};
+pub use streaming::{Fennel, LinearGreedy};
 pub use traits::{PartitionRequest, Partitioner};
 
 pub use blockpart_graph::Csr;

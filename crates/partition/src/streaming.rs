@@ -17,30 +17,13 @@
 //!   and balancing load.
 //!
 //! Both algorithms are *one-pass by construction*: a vertex's score only
-//! consults already-placed neighbours (`u < v`). That makes them the
-//! natural consumers of the out-of-core CSR row stream
-//! ([`blockpart_graph::ooc::OocCsr::rows`]) — [`partition_stream`
-//! ](LinearGreedy::partition_stream) variants accept rows one at a time
-//! and never need the adjacency arrays resident. The in-memory
-//! [`Partitioner::partition`] entry points delegate to the same core, so
-//! streamed and resident runs are byte-identical on the same graph.
+//! consults already-placed neighbours (`u < v`), read from the CSR row of
+//! `v` in vertex order.
 
-use std::convert::Infallible;
-
-use blockpart_graph::ooc::OocCsr;
 use blockpart_types::ShardCount;
 
 use crate::partition::Partition;
 use crate::traits::{PartitionRequest, Partitioner};
-
-/// A fallible source of CSR rows in vertex order: each item is row `v`'s
-/// sorted `(neighbor, weight)` pairs. Implemented by any iterator, letting
-/// resident CSRs and disk-backed row streams share one partitioning core.
-pub type RowResult<E> = Result<Vec<(u32, u64)>, E>;
-
-fn resident_rows(csr: &blockpart_graph::Csr) -> impl Iterator<Item = RowResult<Infallible>> + '_ {
-    (0..csr.node_count()).map(move |v| Ok(csr.neighbors(v).collect()))
-}
 
 /// The Linear Deterministic Greedy streaming partitioner.
 ///
@@ -86,31 +69,24 @@ impl Default for LinearGreedy {
     }
 }
 
-impl LinearGreedy {
-    /// Partitions `n` vertices from a stream of CSR rows in vertex order
-    /// (row `v` = sorted `(neighbor, weight)` pairs of `v`).
-    ///
-    /// Byte-identical to [`Partitioner::partition`] on the equivalent
-    /// resident [`Csr`](blockpart_graph::Csr) — the resident entry point
-    /// delegates here. Memory: `O(k + n)` (loads plus the assignment
-    /// being built); rows are consumed and dropped one at a time.
-    pub fn partition_stream<E>(
-        &self,
-        n: usize,
-        k: ShardCount,
-        rows: impl IntoIterator<Item = RowResult<E>>,
-    ) -> Result<Partition, E> {
-        let kk = k.as_usize();
+impl Partitioner for LinearGreedy {
+    fn name(&self) -> &str {
+        "ldg"
+    }
+
+    fn partition(&mut self, req: &PartitionRequest<'_>) -> Partition {
+        let csr = req.csr;
+        let n = csr.node_count();
+        let kk = req.k.as_usize();
         let capacity = ((n as f64 / kk as f64) * self.slack).ceil().max(1.0);
         let mut assignment: Vec<u16> = Vec::with_capacity(n);
         let mut loads = vec![0usize; kk];
         let mut neigh = vec![0u64; kk];
-        for (v, row) in rows.into_iter().enumerate() {
-            let row = row?;
+        for v in 0..n {
             for x in neigh.iter_mut() {
                 *x = 0;
             }
-            for &(u, w) in &row {
+            for (u, w) in csr.neighbors(v) {
                 let u = u as usize;
                 if u < v {
                     neigh[assignment[u] as usize] += w;
@@ -128,27 +104,7 @@ impl LinearGreedy {
             assignment.push(best as u16);
             loads[best] += 1;
         }
-        Ok(Partition::from_assignment(assignment, k).expect("shards within k"))
-    }
-
-    /// Partitions an out-of-core CSR by streaming its rows from disk —
-    /// the adjacency arrays are never resident.
-    pub fn partition_ooc(&self, ooc: &OocCsr, k: ShardCount) -> std::io::Result<Partition> {
-        let mut rows = ooc.rows()?;
-        let iter = std::iter::from_fn(move || rows.next_row().transpose());
-        self.partition_stream(ooc.node_count(), k, iter)
-    }
-}
-
-impl Partitioner for LinearGreedy {
-    fn name(&self) -> &str {
-        "ldg"
-    }
-
-    fn partition(&mut self, req: &PartitionRequest<'_>) -> Partition {
-        let result: Result<Partition, Infallible> =
-            self.partition_stream(req.csr.node_count(), req.k, resident_rows(req.csr));
-        result.expect("resident rows are infallible")
+        Partition::from_assignment(assignment, req.k).expect("shards within k")
     }
 }
 
@@ -197,40 +153,30 @@ impl Default for Fennel {
     }
 }
 
-impl Fennel {
-    /// Partitions `n` vertices with `m` undirected edges from a stream of
-    /// CSR rows in vertex order. `m` must be known up front because
-    /// Fennel's α is derived from it — the out-of-core CSR exposes it
-    /// before any row streams
-    /// ([`OocCsr::undirected_edge_count`]).
-    ///
-    /// Byte-identical to [`Partitioner::partition`] on the equivalent
-    /// resident [`Csr`](blockpart_graph::Csr) — the resident entry point
-    /// delegates here. Memory: `O(k + n)`.
-    pub fn partition_stream<E>(
-        &self,
-        n: usize,
-        m: usize,
-        k: ShardCount,
-        rows: impl IntoIterator<Item = RowResult<E>>,
-    ) -> Result<Partition, E> {
-        let kk = k.as_usize();
+impl Partitioner for Fennel {
+    fn name(&self) -> &str {
+        "fennel"
+    }
+
+    fn partition(&mut self, req: &PartitionRequest<'_>) -> Partition {
+        let csr = req.csr;
+        let n = csr.node_count();
+        let kk = req.k.as_usize();
         if n == 0 {
-            return Ok(Partition::all_on_first(0, k));
+            return Partition::all_on_first(0, req.k);
         }
-        let m = m.max(1) as f64;
+        let m = csr.edge_count().max(1) as f64;
         // α = √k · m / n^γ, the Fennel paper's recommended setting.
         let alpha = (kk as f64).sqrt() * m / (n as f64).powf(self.gamma) * self.balance_pressure;
 
         let mut assignment: Vec<u16> = Vec::with_capacity(n);
         let mut loads = vec![0f64; kk];
         let mut neigh = vec![0u64; kk];
-        for (v, row) in rows.into_iter().enumerate() {
-            let row = row?;
+        for v in 0..n {
             for x in neigh.iter_mut() {
                 *x = 0;
             }
-            for &(u, w) in &row {
+            for (u, w) in csr.neighbors(v) {
                 let u = u as usize;
                 if u < v {
                     neigh[assignment[u] as usize] += w;
@@ -250,31 +196,7 @@ impl Fennel {
             assignment.push(best as u16);
             loads[best] += 1.0;
         }
-        Ok(Partition::from_assignment(assignment, k).expect("shards within k"))
-    }
-
-    /// Partitions an out-of-core CSR by streaming its rows from disk —
-    /// the adjacency arrays are never resident.
-    pub fn partition_ooc(&self, ooc: &OocCsr, k: ShardCount) -> std::io::Result<Partition> {
-        let mut rows = ooc.rows()?;
-        let iter = std::iter::from_fn(move || rows.next_row().transpose());
-        self.partition_stream(ooc.node_count(), ooc.undirected_edge_count(), k, iter)
-    }
-}
-
-impl Partitioner for Fennel {
-    fn name(&self) -> &str {
-        "fennel"
-    }
-
-    fn partition(&mut self, req: &PartitionRequest<'_>) -> Partition {
-        let result: Result<Partition, Infallible> = self.partition_stream(
-            req.csr.node_count(),
-            req.csr.edge_count(),
-            req.k,
-            resident_rows(req.csr),
-        );
-        result.expect("resident rows are infallible")
+        Partition::from_assignment(assignment, req.k).expect("shards within k")
     }
 }
 
@@ -385,36 +307,5 @@ mod tests {
         let a = Fennel::default().partition(&PartitionRequest::new(&csr, k(4)));
         let b = Fennel::default().partition(&PartitionRequest::new(&csr, k(4)));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streamed_rows_match_resident_partition() {
-        use blockpart_graph::GraphBuilder;
-        use blockpart_types::Address;
-
-        let mut b = GraphBuilder::new();
-        for i in 0..400u64 {
-            b.add_interaction(
-                Address::from_index(i % 37),
-                Address::from_index((i * 5 + 1) % 37),
-                1 + i % 4,
-            );
-        }
-        let g = b.build();
-        let csr = g.to_csr();
-        let ooc = OocCsr::build(&g, &std::env::temp_dir(), 128).unwrap();
-        for shards in [2u16, 4, 7] {
-            let resident_ldg =
-                LinearGreedy::default().partition(&PartitionRequest::new(&csr, k(shards)));
-            let streamed_ldg = LinearGreedy::default()
-                .partition_ooc(&ooc, k(shards))
-                .unwrap();
-            assert_eq!(streamed_ldg, resident_ldg, "ldg k={shards}");
-            let resident_fennel =
-                Fennel::default().partition(&PartitionRequest::new(&csr, k(shards)));
-            let streamed_fennel = Fennel::default().partition_ooc(&ooc, k(shards)).unwrap();
-            assert_eq!(streamed_fennel, resident_fennel, "fennel k={shards}");
-        }
-        ooc.finish().unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Pinned `kway` output: fingerprints of the partitions of one fixed,
 //! seeded hub-heavy graph. Optimisations of the partitioner must keep its
-//! output byte-identical; unlike the worker-count proptests, which only
+//! output byte-identical; unlike the determinism tests, which only
 //! compare the code with itself, this compares it with recorded values.
 //!
 //! The graph is built so that coarsening stops above 500 vertices, so the

@@ -4,9 +4,8 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
-use blockpart_graph::ooc::OocGraphBuilder;
-use blockpart_graph::{Graph, Interaction, InteractionLog};
-use blockpart_types::{BlockNumber, StorageBackend, Timestamp};
+use blockpart_graph::{Interaction, InteractionLog};
+use blockpart_types::{BlockNumber, Timestamp};
 
 use crate::segment::{read_segment, read_segment_meta, write_segment, SegmentError, SegmentMeta};
 
@@ -177,60 +176,6 @@ impl SegmentStore {
             log.push(e?);
         }
         Ok(log)
-    }
-
-    /// Builds the cumulative interaction graph from the stored stream,
-    /// one segment at a time, under `backend`'s budget.
-    ///
-    /// Byte-identical to `InteractionLog::graph_of` over the same events
-    /// (see the determinism contract in `blockpart_graph::ooc`). With an
-    /// [`StorageBackend::InMemory`] backend the edge accumulation is
-    /// unbounded but events still stream segment-at-a-time.
-    pub fn build_graph(&self, backend: &StorageBackend) -> Result<Graph, SegmentError> {
-        match backend {
-            StorageBackend::InMemory => {
-                let mut events = Vec::with_capacity(self.event_count as usize);
-                for e in self.iter()? {
-                    events.push(e?);
-                }
-                Ok(InteractionLog::graph_of(&events))
-            }
-            StorageBackend::Spill { .. } => {
-                let mut b = OocGraphBuilder::new(backend).map_err(SegmentError::Io)?;
-                for (path, _) in &self.segments {
-                    let (_, events) =
-                        read_segment(BufReader::new(File::open(path).map_err(SegmentError::Io)?))?;
-                    b.push_chunk(&events).map_err(SegmentError::Io)?;
-                }
-                b.finish().map_err(SegmentError::Io)
-            }
-        }
-    }
-
-    /// Builds the *reduced* graph of events with `start <= time < end`,
-    /// streaming only the segments that intersect the window.
-    pub fn build_graph_window(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-        backend: &StorageBackend,
-    ) -> Result<Graph, SegmentError> {
-        match backend {
-            StorageBackend::InMemory => {
-                let mut events = Vec::new();
-                for e in self.iter_window(start, end)? {
-                    events.push(e?);
-                }
-                Ok(InteractionLog::graph_of(&events))
-            }
-            StorageBackend::Spill { .. } => {
-                let mut b = OocGraphBuilder::new(backend).map_err(SegmentError::Io)?;
-                for e in self.iter_window(start, end)? {
-                    b.push(&e?).map_err(SegmentError::Io)?;
-                }
-                b.finish().map_err(SegmentError::Io)
-            }
-        }
     }
 }
 
@@ -472,31 +417,6 @@ mod tests {
         assert_eq!(picked.last().unwrap().time, t(319));
         // Pruning must refuse clearly-disjoint windows without decoding.
         assert_eq!(store.iter_window(t(5000), t(6000)).unwrap().count(), 0);
-        cleanup(store);
-    }
-
-    #[test]
-    fn graph_from_store_matches_resident_both_backends() {
-        let store = temp_store("graphs", 2000, 256);
-        let log = store.load_log().unwrap();
-        let resident = InteractionLog::graph_of(log.events());
-        let via_mem = store.build_graph(&StorageBackend::InMemory).unwrap();
-        let spill = StorageBackend::spill(std::env::temp_dir().join("bpsg-store-spill"), 256);
-        let via_spill = store.build_graph(&spill).unwrap();
-        for g in [&via_mem, &via_spill] {
-            assert_eq!(g.node_count(), resident.node_count());
-            assert_eq!(g.edge_count(), resident.edge_count());
-            assert_eq!(g.total_edge_weight(), resident.total_edge_weight());
-            assert!(g.edges().zip(resident.edges()).all(|(a, b)| a == b));
-        }
-        let t = Timestamp::from_secs;
-        let win_resident = log.graph_window(t(100), t(900));
-        let win_spill = store.build_graph_window(t(100), t(900), &spill).unwrap();
-        assert_eq!(win_spill.edge_count(), win_resident.edge_count());
-        assert_eq!(
-            win_spill.total_edge_weight(),
-            win_resident.total_edge_weight()
-        );
         cleanup(store);
     }
 

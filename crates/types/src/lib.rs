@@ -36,7 +36,7 @@ mod time;
 
 pub use address::{AccountKind, Address};
 pub use hash::{FastMap, FxHasher};
-pub use parallelism::{resolve_workers, split_ranges};
+pub use parallelism::resolve_workers;
 pub use quantity::{BlockNumber, Gas, Wei};
 pub use shard::{ShardCount, ShardId};
 pub use storage::{parse_mem_budget, SpillSession, StorageBackend, MEM_BUDGET_ENV, SPILL_DIR_ENV};

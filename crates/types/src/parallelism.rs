@@ -1,17 +1,17 @@
-//! Worker-count resolution shared by the parallel hot paths.
+//! Worker-count resolution for the workspace's one parallel layer, the
+//! `Experiment` strategy × k fan-out in `blockpart-core`.
 //!
-//! Every parallel API in the workspace takes a `workers: usize` argument
-//! where `0` means "decide for me". The decision is made here so the
-//! whole workspace honours the same override knob:
+//! [`resolve_workers`] takes a `workers: usize` request where `0` means
+//! "decide for me":
 //!
 //! 1. a positive explicit request wins;
 //! 2. otherwise the `BLOCKPART_THREADS` environment variable, if set to a
 //!    positive integer;
 //! 3. otherwise [`std::thread::available_parallelism`].
 //!
-//! All parallel algorithms in the workspace are *deterministic in their
-//! worker count*: any value returned here produces byte-identical output,
-//! so the knob trades only wall-clock time, never results.
+//! The fan-out is *deterministic in its worker count*: any value returned
+//! here produces byte-identical reports, so the knob trades only
+//! wall-clock time, never results.
 
 /// Resolves a requested worker count (`0` = automatic) to a concrete
 /// positive count.
@@ -40,37 +40,6 @@ pub fn resolve_workers(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `n` items into at most `workers` contiguous ranges of
-/// near-equal length (the canonical row-ownership scheme of the parallel
-/// passes). Returns no empty ranges; fewer than `workers` ranges when
-/// `n < workers`.
-///
-/// # Examples
-///
-/// ```
-/// use blockpart_types::split_ranges;
-///
-/// assert_eq!(split_ranges(5, 2), vec![0..3, 3..5]);
-/// assert_eq!(split_ranges(2, 8).len(), 2);
-/// assert!(split_ranges(0, 4).is_empty());
-/// ```
-pub fn split_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let workers = workers.max(1).min(n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = n / workers;
-    let extra = n % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for i in 0..workers {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,29 +52,5 @@ mod tests {
     #[test]
     fn auto_is_positive() {
         assert!(resolve_workers(0) >= 1);
-    }
-
-    #[test]
-    fn ranges_cover_exactly() {
-        for n in [0usize, 1, 2, 5, 16, 97] {
-            for w in [1usize, 2, 3, 8] {
-                let ranges = split_ranges(n, w);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    assert!(!r.is_empty());
-                    next = r.end;
-                }
-                assert_eq!(next, n);
-                assert!(ranges.len() <= w);
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_are_balanced() {
-        let ranges = split_ranges(10, 3);
-        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(lens, vec![4, 3, 3]);
     }
 }

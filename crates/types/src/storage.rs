@@ -1,12 +1,14 @@
 //! Storage-backend selection for the out-of-core data path.
 //!
-//! Every heavy data structure in the workspace — the interaction log, the
-//! graph build's edge accumulation, the symmetric CSR — can either live
-//! entirely in RAM or spill to disk under a memory budget. The choice is a
+//! A run either keeps everything in RAM or moves two things to disk: a
+//! generator workload whose only consumer is the offline stage streams
+//! into an on-disk segment store, which the offline simulation reads back
+//! one segment at a time, and replay and live stages ship 2PC state
+//! through an on-disk account-state spool. The choice is a
 //! [`StorageBackend`] value threaded from the CLI / environment down into
-//! the graph and storage crates. Spilled and resident paths are required
-//! to produce **byte-identical** results wherever both fit; the backend
-//! trades only peak memory for disk traffic.
+//! the experiment pipeline. Spilled and resident runs produce
+//! **byte-identical** reports; the backend trades only peak memory for
+//! disk traffic.
 
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
@@ -39,13 +41,14 @@ pub enum StorageBackend {
     /// Everything resident: the fastest path when the working set fits.
     #[default]
     InMemory,
-    /// Spill-to-disk under a budget: edge accumulations that outgrow
-    /// `mem_budget_bytes` are sorted and written as runs under `dir`,
-    /// then streamed back through an external merge.
+    /// Spill to disk: the segment store and the account-state spool live
+    /// in a per-run session directory under `dir`.
     Spill {
-        /// Root directory for spill runs (each run gets a unique subdir).
+        /// Root directory for spill sessions (each run gets a unique subdir).
         dir: PathBuf,
-        /// Soft cap, in bytes, on the resident accumulation state.
+        /// The configured budget, in bytes. It selects this backend and
+        /// is printed in the `generate` and `study` progress lines;
+        /// nothing is sized or bounded by it.
         mem_budget_bytes: u64,
     },
 }

@@ -57,12 +57,13 @@ COMMANDS:
                --scenario <s>  overlay an adversarial workload scenario,
                                `name[key=value;...]`, `+` composes
                                (default none: the friendly chain)
-               --mem-budget <size>  spill to disk under this budget
-                               (e.g. 512m, 2g): the chain streams
-                               block-by-block through an on-disk segment
-                               store, never holding the full log
-                               (default: BLOCKPART_MEM_BUDGET, else
-                               everything resident)
+               --mem-budget <size>  select the spill backend (e.g. 512m,
+                               2g): the chain streams block-by-block
+                               through an on-disk segment store, never
+                               holding the full log. The size is only
+                               printed in the progress line; it bounds
+                               nothing (default: BLOCKPART_MEM_BUDGET,
+                               else everything resident)
                --spill-dir <path>   spill root (default:
                                BLOCKPART_SPILL_DIR, else system temp)
     study      run partitioning strategies over a synthetic chain

@@ -16,8 +16,8 @@
 //!   blocks and the era-driven workload generator;
 //! * [`shard`] — the sharding simulator (placement, repartition policies,
 //!   move accounting);
-//! * [`storage`] — the out-of-core backend: on-disk segment store,
-//!   external-memory CSR build, compact account-state spool;
+//! * [`storage`] — the out-of-core backend: on-disk segment store and
+//!   compact account-state spool;
 //! * [`runtime`] — the sharded 2PC execution engine;
 //! * [`live`] — the online repartitioning service: windowed graph,
 //!   triggered re-partition, live state migration through the 2PC

@@ -9,12 +9,18 @@
 //! reports only aggregate, while a trace records every prepare, vote,
 //! commit and execution span in event order, so a change to the event
 //! loop's ordering shows up here first.
+//!
+//! The last pin covers the graph layer below the reports: the graph and
+//! CSR of a chain with tens of thousands of interactions, and the LDG and
+//! Fennel partitions of that CSR, which no report above exercises.
 
 use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
 use blockpart::ethereum::SyntheticChain;
+use blockpart::graph::{Csr, Graph, InteractionLog};
 use blockpart::live::{LiveConfig, LiveRunner};
 use blockpart::obs::{perfetto::to_perfetto, Trace};
+use blockpart::partition::{Fennel, LinearGreedy, Partition, PartitionRequest, Partitioner};
 use blockpart::runtime::{Assignment, RuntimeConfig, ShardedRuntime};
 use blockpart::types::{Duration, ShardCount};
 
@@ -116,4 +122,72 @@ fn live_trace_is_pinned() {
         trace_fingerprint(&run.session.finish()),
         0x9dc9_4f3b_d0b7_6089
     );
+}
+
+/// FNV-1a over the graph's nodes (address, kind, weight) in id order,
+/// then its directed edges (source, target, weight) in CSR order.
+fn graph_fingerprint(g: &Graph) -> u64 {
+    let nodes = g.nodes().flat_map(|n| {
+        let kind = u8::from(n.kind.is_contract());
+        let address = *n.address.as_bytes();
+        address
+            .into_iter()
+            .chain([kind])
+            .chain(n.weight.to_le_bytes())
+    });
+    let edges = g.edges().flat_map(|e| {
+        let ends = [e.source.as_u32(), e.target.as_u32()];
+        ends.into_iter()
+            .flat_map(u32::to_le_bytes)
+            .chain(e.weight.to_le_bytes())
+    });
+    fnv1a(nodes.chain(edges))
+}
+
+/// FNV-1a over the CSR's four arrays: `xadj`, `adjncy`, `adjwgt`, `vwgt`.
+fn csr_fingerprint(csr: &Csr) -> u64 {
+    let n = csr.node_count();
+    let xadj = (0..=n).scan(0u64, |at, v| {
+        let start = *at;
+        if v < n {
+            *at += csr.degree(v) as u64;
+        }
+        Some(start)
+    });
+    let rows = || (0..n).flat_map(|v| csr.neighbors(v));
+    let adjncy = rows().flat_map(|(t, _)| t.to_le_bytes());
+    let adjwgt = rows().flat_map(|(_, w)| w.to_le_bytes());
+    let vwgt = csr.vertex_weights().iter().flat_map(|w| w.to_le_bytes());
+    fnv1a(
+        xadj.flat_map(u64::to_le_bytes)
+            .chain(adjncy)
+            .chain(adjwgt)
+            .chain(vwgt),
+    )
+}
+
+/// A chain of 34,752 interactions: its graph (23,667 directed edges) and
+/// CSR (22,652 undirected edges) are far above the sizes in the report
+/// pins, and LDG and Fennel run on nothing else that is pinned.
+#[test]
+fn graph_csr_and_streaming_partitions_are_pinned() {
+    let config = GeneratorConfig::demo_scale(7).with_scale(0.0002);
+    let chain = ChainGenerator::new(config).generate();
+    let graph = InteractionLog::graph_of(chain.log.events());
+    let csr = graph.to_csr();
+    assert_eq!(
+        (chain.log.len(), graph.edge_count(), csr.edge_count()),
+        (34_752, 23_667, 22_652)
+    );
+    assert_eq!(graph_fingerprint(&graph), 0xe228_0688_4f4f_2a99);
+    assert_eq!(csr_fingerprint(&csr), 0x0247_ba83_5893_e453);
+    // the streaming partitioners' assignments, vertex by vertex
+    let req = |shards| PartitionRequest::new(&csr, k(shards));
+    let pin = |p: Partition| fnv1a(p.as_slice().iter().flat_map(|s| s.to_le_bytes()));
+    let ldg = |shards| pin(LinearGreedy::default().partition(&req(shards)));
+    let fennel = |shards| pin(Fennel::default().partition(&req(shards)));
+    assert_eq!(ldg(2), 0x022b_3544_2100_62cc);
+    assert_eq!(ldg(4), 0x84c2_af8c_302b_80bf);
+    assert_eq!(fennel(2), 0x0201_c33e_3293_ed3c);
+    assert_eq!(fennel(4), 0xa771_aa88_d08a_d00d);
 }
