@@ -450,13 +450,13 @@ pub struct Experiment<'a> {
     trace: bool,
     net_latency_us: Option<u64>,
     inter_arrival_us: Option<u64>,
-    /// Where the pipeline's heavy data lives. With
-    /// [`StorageBackend::Spill`], a generator workload without replay or
-    /// live stages is synthesized straight into an on-disk segment store
-    /// (the full interaction log is never resident) and the offline
-    /// simulation streams it back; replay and live stages route 2PC
-    /// state shipping through an on-disk spool. Results are
-    /// byte-identical to the in-memory backend.
+    /// Where the interaction log lives. Spilling applies only to an
+    /// offline-only generator workload: with [`StorageBackend::Spill`],
+    /// a generator workload without a scenario, replay or live stage is
+    /// synthesized straight into an on-disk segment store (the full
+    /// interaction log is never resident) and the offline simulation
+    /// streams it back. Every other workload runs resident whatever the
+    /// backend. Results are byte-identical to the in-memory backend.
     storage: StorageBackend,
 }
 
@@ -651,10 +651,13 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Selects the storage backend (see [`Experiment::storage`]'s field
-    /// docs; [`StorageBackend::InMemory`] by default). The CLI threads
-    /// `--spill-dir` / `--mem-budget` (or `BLOCKPART_MEM_BUDGET` /
-    /// `BLOCKPART_SPILL_DIR`) into this.
+    /// Selects the storage backend ([`StorageBackend::InMemory`] by
+    /// default). Spilling applies only to an offline-only generator
+    /// workload (no scenario, replay or live stage): its chain streams
+    /// into an on-disk segment store under a per-run session directory,
+    /// which the offline simulation reads back one segment at a time and
+    /// which is removed when the run succeeds. Any other workload ignores
+    /// the backend. The CLI threads `--spill-dir` into this.
     pub fn storage(mut self, backend: StorageBackend) -> Self {
         self.storage = backend;
         self
@@ -666,7 +669,10 @@ impl<'a> Experiment<'a> {
     ///
     /// Panics if replay is enabled on a log-only workload, or if the
     /// configured strategy or shard-count list is empty (a misconfigured
-    /// caller should not silently run nothing).
+    /// caller should not silently run nothing). A spilling run also
+    /// panics on segment-store I/O errors, an unusable spill directory
+    /// included; probe the directory with [`SpillSession::create`] first
+    /// to report that as an error.
     pub fn run(self) -> ExperimentReport {
         // One epoch for the whole pipeline so every pair's wall spans
         // line up on a single timeline.
@@ -692,8 +698,7 @@ impl<'a> Experiment<'a> {
         // A generator workload whose only consumer is the offline stage
         // can be synthesized straight to disk: the interaction log is
         // never resident. Replay/live need the chain's world and
-        // transaction stream, so they keep the resident path (and route
-        // state shipping through a spool instead).
+        // transaction stream, so they keep the resident path.
         let stream_gen = self.storage.is_spill()
             && self.scenario.is_none()
             && !self.replay
@@ -742,11 +747,6 @@ impl<'a> Experiment<'a> {
                 (EventFeed::Resident(&generated.log), Some(&generated))
             }
         };
-        if session.is_none() && self.storage.is_spill() && (self.replay || self.live) {
-            let spill_root = self.storage.spill_dir().expect("spill backend has a root");
-            session = Some(SpillSession::create(spill_root).expect("create spill session"));
-        }
-        let spool_root = session.as_ref().map(|s| s.path().to_path_buf());
         assert!(
             !self.replay || chain.is_some(),
             "runtime replay requires a chain workload (use Experiment::over_chain or \
@@ -796,7 +796,7 @@ impl<'a> Experiment<'a> {
         let stealers: Vec<Stealer<usize>> = queues.iter().map(|q| q.stealer()).collect();
         let (tx, rx) = mpsc::channel::<(usize, ExperimentRun, Option<Trace>)>();
         let this = &self;
-        let (feed, spool_root) = (&feed, spool_root.as_deref());
+        let feed = &feed;
         crossbeam::thread::scope(|scope| {
             for (me, local) in queues.iter().enumerate() {
                 let tx = tx.clone();
@@ -804,15 +804,8 @@ impl<'a> Experiment<'a> {
                 scope.spawn(move |_| {
                     while let Some(i) = next_task(local, stealers, me) {
                         let (spec, requested, k) = pairs[i];
-                        let (mut run, sub) = this.run_pair(
-                            spec.as_ref(),
-                            k,
-                            feed,
-                            chain,
-                            spool_root,
-                            i as u32,
-                            epoch,
-                        );
+                        let (mut run, sub) =
+                            this.run_pair(spec.as_ref(), k, feed, chain, i as u32, epoch);
                         run.requested = requested.clone();
                         tx.send((i, run, sub)).expect("collector outlives workers");
                     }
@@ -856,14 +849,12 @@ impl<'a> Experiment<'a> {
     /// thread lane `pair + 1` of process 0 (lane 0 is the pipeline
     /// itself) and slots the replay's virtual trace into process
     /// `pair + 1`.
-    #[allow(clippy::too_many_arguments)]
     fn run_pair(
         &self,
         spec: &dyn StrategySpec,
         k: ShardCount,
         feed: &EventFeed<'_>,
         chain: Option<&SyntheticChain>,
-        spool_root: Option<&std::path::Path>,
         pair: u32,
         epoch: Option<Instant>,
     ) -> (ExperimentRun, Option<Trace>) {
@@ -907,9 +898,6 @@ impl<'a> Experiment<'a> {
             if let Some(gap) = self.inter_arrival_us {
                 cfg = cfg.with_inter_arrival_us(gap);
             }
-            if let Some(spool) = spool_root {
-                cfg = cfg.with_state_spool_dir(spool.join(format!("spool-replay-{pair}")));
-            }
             let runtime = ShardedRuntime::new(cfg, assignment);
             if obs.enabled() {
                 let replay_start = obs.now_us();
@@ -944,10 +932,6 @@ impl<'a> Experiment<'a> {
             }
             if let Some(gap) = self.inter_arrival_us {
                 runtime_cfg = runtime_cfg.with_inter_arrival_us(gap);
-            }
-            if let Some(spool) = spool_root {
-                runtime_cfg =
-                    runtime_cfg.with_state_spool_dir(spool.join(format!("spool-live-{pair}")));
             }
             let cfg = LiveConfig::new(k)
                 .with_window(self.window)
@@ -1104,33 +1088,13 @@ mod tests {
         };
         let resident = run(StorageBackend::InMemory);
         let spill_root = std::env::temp_dir().join("blockpart-core-test-spill");
-        let spilled = run(StorageBackend::spill(&spill_root, 64 * 1024));
+        let spilled = run(StorageBackend::spill(&spill_root));
         assert_eq!(resident.to_json(), spilled.to_json());
         // the spill session cleaned up after itself
         let leftovers = std::fs::read_dir(&spill_root)
             .map(|d| d.count())
             .unwrap_or(0);
         assert_eq!(leftovers, 0, "spill session not removed");
-        std::fs::remove_dir_all(&spill_root).ok();
-    }
-
-    #[test]
-    fn spooled_replay_matches_resident_replay() {
-        let chain = ChainGenerator::new(GeneratorConfig::test_scale(5)).generate();
-        let registry = StrategyRegistry::with_builtins();
-        let run = |backend: StorageBackend| {
-            Experiment::over_chain(&chain)
-                .named_strategies(&registry, "hash")
-                .unwrap()
-                .shard_counts(vec![ShardCount::TWO])
-                .replay(true)
-                .storage(backend)
-                .run()
-        };
-        let resident = run(StorageBackend::InMemory);
-        let spill_root = std::env::temp_dir().join("blockpart-core-test-spool");
-        let spooled = run(StorageBackend::spill(&spill_root, 1 << 20));
-        assert_eq!(resident.to_json(), spooled.to_json());
         std::fs::remove_dir_all(&spill_root).ok();
     }
 

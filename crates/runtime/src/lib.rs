@@ -100,13 +100,6 @@ pub struct RuntimeConfig {
     pub max_attempts: u32,
     /// Entropy seed for the re-executions' `RAND` opcode.
     pub seed: u64,
-    /// When set, every 2PC prepare serializes its exported state through
-    /// a per-shard on-disk [`blockpart_storage::AccountStateStore`] in
-    /// this directory and ships the re-read value — migration batches
-    /// serialize from disk instead of a resident [`World`]. The encoding
-    /// is lossless, so reports and traces are byte-identical with or
-    /// without a spool.
-    pub state_spool_dir: Option<std::path::PathBuf>,
 }
 
 impl RuntimeConfig {
@@ -123,17 +116,7 @@ impl RuntimeConfig {
             retry_backoff_us: 5_000,
             max_attempts: 64,
             seed: 0,
-            state_spool_dir: None,
         }
-    }
-
-    /// Routes 2PC state shipping through a per-shard on-disk spool in
-    /// `dir` (see [`RuntimeConfig::state_spool_dir`]). The directory is
-    /// created on demand; spool I/O errors panic (the runtime itself is
-    /// pure compute and has no error channel).
-    pub fn with_state_spool_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.state_spool_dir = Some(dir.into());
-        self
     }
 
     /// Overrides the one-way network latency.
@@ -466,22 +449,13 @@ impl ShardedRuntime {
 /// address-allocation lanes.
 fn build_workers(cfg: &RuntimeConfig, assignment: &Assignment, world: &World) -> Vec<ShardWorker> {
     let base = world.address_floor();
-    if let Some(dir) = &cfg.state_spool_dir {
-        std::fs::create_dir_all(dir).expect("state spool directory");
-    }
     let mut workers: Vec<ShardWorker> = cfg
         .k
         .iter()
         .map(|s| {
             let mut slice = World::new();
             slice.raise_address_floor(base + (s.as_usize() as u64 + 1) * ADDRESS_LANE);
-            let mut worker = ShardWorker::new(s, slice);
-            if let Some(dir) = &cfg.state_spool_dir {
-                let path = dir.join(format!("spool-shard-{:03}.bin", s.as_usize()));
-                worker.spool =
-                    Some(blockpart_storage::AccountStateStore::create(path).expect("state spool"));
-            }
-            worker
+            ShardWorker::new(s, slice)
         })
         .collect();
     for a in world.addresses() {
@@ -606,26 +580,6 @@ mod tests {
             vec![exec],
             Assignment::from_map(map, ShardCount::TWO),
         )
-    }
-
-    #[test]
-    fn spooled_state_shipping_matches_resident_run() {
-        use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
-        // a generated workload so spooled prepares cover both account
-        // and contract records (storage slots, creators, templates)
-        let synthetic = ChainGenerator::new(GeneratorConfig::test_scale(11)).generate();
-        let txs: Vec<ExecutedTx> = synthetic.txs.iter().take(300).cloned().collect();
-        let cfg = RuntimeConfig::new(ShardCount::TWO);
-        let resident = ShardedRuntime::new(cfg.clone(), Assignment::hashed(ShardCount::TWO))
-            .run(synthetic.chain.world(), &txs);
-        let dir = std::env::temp_dir().join(format!("bp-spool-test-{}", std::process::id()));
-        let spooled = ShardedRuntime::new(
-            cfg.with_state_spool_dir(&dir),
-            Assignment::hashed(ShardCount::TWO),
-        )
-        .run(synthetic.chain.world(), &txs);
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(resident, spooled, "spooled run diverged from resident run");
     }
 
     #[test]

@@ -144,12 +144,6 @@ pub(crate) struct ShardWorker {
     pub obs: Trace,
     /// End of the last execution, for idle-gap spans.
     idle_from: Micros,
-    /// Optional on-disk state spool: when present, every prepare's
-    /// exported state round-trips through this [`AccountStateStore`]
-    /// before it ships, so migration batches serialize from disk instead
-    /// of a resident `World`. The encoding is lossless — behaviour is
-    /// byte-identical either way.
-    pub(crate) spool: Option<blockpart_storage::AccountStateStore>,
 }
 
 impl ShardWorker {
@@ -164,7 +158,6 @@ impl ShardWorker {
             stats: WorkerStats::default(),
             obs: Trace::disabled(),
             idle_from: 0,
-            spool: None,
         }
     }
 
@@ -277,17 +270,9 @@ impl ShardWorker {
             );
         }
         let shipped = if ok {
-            let world = &self.world;
-            let spool = &mut self.spool;
             addrs
                 .iter()
-                .filter_map(|&a| world.export_state(a).map(|s| (a, s)))
-                .map(|(a, s)| match spool {
-                    // serialize from disk: encode into the spool, ship the
-                    // decoded re-read (lossless, so votes are identical)
-                    Some(store) => (a, store.roundtrip(a, &s).expect("state spool I/O")),
-                    None => (a, s),
-                })
+                .filter_map(|&a| self.world.export_state(a).map(|s| (a, s)))
                 .collect()
         } else {
             Vec::new()

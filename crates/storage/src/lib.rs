@@ -1,22 +1,16 @@
-//! Out-of-core storage backend: the disk-resident pieces a run uses when
-//! it selects [`StorageBackend::Spill`].
+//! Out-of-core storage backend: the on-disk segment store a run uses
+//! when it selects [`StorageBackend::Spill`].
 //!
 //! The paper (Fynn & Pedone, DSN 2018) partitions 30 months of Ethereum
 //! — hundreds of millions of interactions — while a purely resident
-//! pipeline caps out far earlier. This crate supplies the two pieces a
-//! spill run uses, both selected by the [`StorageBackend`] enum threaded
-//! down from the CLI:
-//!
-//! * [`SegmentStore`] / [`SegmentStoreWriter`] — an append-only columnar
-//!   segment store for interaction streams ([`segment`] documents the
-//!   `BPSG` on-disk framing), with per-segment min/max time and block
-//!   metadata for window pruning and segment-at-a-time readers. The
-//!   generator streams a chain into it block by block, and the offline
-//!   simulation streams it back, so the full log is never resident; the
-//!   simulator still builds its graphs in memory;
-//! * [`AccountStateStore`] — a compact append-only account/contract
-//!   snapshot store, so 2PC state shipping serializes migration batches
-//!   from disk instead of a resident `World`.
+//! pipeline caps out far earlier. [`SegmentStore`] /
+//! [`SegmentStoreWriter`] are an append-only columnar segment store for
+//! interaction streams ([`segment`] documents the `BPSG` on-disk
+//! framing, with per-segment min/max time and block metadata). A
+//! generator workload whose only consumer is the offline stage streams
+//! its chain into the store block by block, and the offline simulation
+//! streams it back one segment at a time, so the full log is never
+//! resident; the simulator still builds its graphs in memory.
 //!
 //! # Examples
 //!
@@ -50,11 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod segment;
-mod state;
 mod store;
 
 pub use segment::{SegmentError, SegmentMeta, SEGMENT_MAGIC, SEGMENT_VERSION};
-pub use state::AccountStateStore;
 pub use store::{EventStream, SegmentStore, SegmentStoreWriter, DEFAULT_SEGMENT_EVENTS};
 
-pub use blockpart_types::{parse_mem_budget, SpillSession, StorageBackend};
+pub use blockpart_types::{SpillSession, StorageBackend};

@@ -14,9 +14,9 @@
 //! trailer  fnv1a-64 checksum over header + columns
 //! ```
 //!
-//! All integers are little-endian. The `min/max` header fields let readers
-//! prune whole segments against a time or block window without touching
-//! the columns. Truncation and corruption are detected as *named errors*
+//! All integers are little-endian. The `min/max` header fields describe a
+//! segment's time and block span without touching the columns
+//! ([`read_segment_meta`]). Truncation and corruption are detected as *named errors*
 //! ([`SegmentError::Truncated`], [`SegmentError::Corrupt`]) — never a
 //! panic — so a crashed writer's tail segment is diagnosable.
 
@@ -120,14 +120,6 @@ pub struct SegmentMeta {
     pub min_block: BlockNumber,
     /// Highest block index covered by the segment.
     pub max_block: BlockNumber,
-}
-
-impl SegmentMeta {
-    /// `true` when the segment can hold no event with
-    /// `start <= time < end` — the window-pruning test.
-    pub fn disjoint_from_window(&self, start: Timestamp, end: Timestamp) -> bool {
-        self.count == 0 || self.max_time < start || self.min_time >= end
-    }
 }
 
 fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
@@ -296,8 +288,8 @@ pub fn read_segment<R: Read>(
     Ok((meta, events))
 }
 
-/// Reads only a segment's header metadata (for window pruning) without
-/// decoding or checksumming the columns.
+/// Reads only a segment's header metadata without decoding or
+/// checksumming the columns.
 pub fn read_segment_meta(path: &Path) -> Result<SegmentMeta, SegmentError> {
     let mut f = std::fs::File::open(path).map_err(SegmentError::Io)?;
     let mut header = [0u8; HEADER_BYTES];
@@ -375,7 +367,6 @@ mod tests {
         let (meta, decoded) = read_segment(&buf[..]).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(meta.count, 0);
-        assert!(meta.disjoint_from_window(Timestamp::from_secs(0), Timestamp::from_secs(u64::MAX)));
     }
 
     #[test]
@@ -418,17 +409,5 @@ mod tests {
             read_segment(&buf[..]).unwrap_err(),
             SegmentError::UnsupportedVersion(99)
         ));
-    }
-
-    #[test]
-    fn window_pruning_tests() {
-        let buf = encode(&sample(10)); // times 100..=109
-        let (meta, _) = read_segment(&buf[..]).unwrap();
-        let t = Timestamp::from_secs;
-        assert!(meta.disjoint_from_window(t(0), t(100))); // end exclusive
-        assert!(meta.disjoint_from_window(t(110), t(200)));
-        assert!(!meta.disjoint_from_window(t(0), t(101)));
-        assert!(!meta.disjoint_from_window(t(109), t(200)));
-        assert!(!meta.disjoint_from_window(t(104), t(105)));
     }
 }

@@ -1,10 +1,10 @@
-//! Directory-level segment store: append, scan, prune, stream.
+//! Directory-level segment store: append, scan, stream.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
-use blockpart_graph::{Interaction, InteractionLog};
+use blockpart_graph::Interaction;
 use blockpart_types::{BlockNumber, Timestamp};
 
 use crate::segment::{read_segment, read_segment_meta, write_segment, SegmentError, SegmentMeta};
@@ -21,10 +21,9 @@ fn segment_file_name(index: usize) -> String {
 /// columnar segments (see [`crate::segment`]) under one directory.
 ///
 /// The store is the out-of-core replacement for a resident
-/// [`InteractionLog`]: the generator appends block batches through a
-/// [`SegmentStoreWriter`], and consumers stream events back one segment
-/// at a time, pruning whole segments against a time window via the
-/// per-segment min/max metadata.
+/// [`InteractionLog`](blockpart_graph::InteractionLog): the generator
+/// appends block batches through a [`SegmentStoreWriter`], and consumers
+/// stream events back one segment at a time.
 ///
 /// Memory contract: reading holds one decoded segment resident at a time
 /// (`O(segment)`, not `O(log)`).
@@ -122,68 +121,21 @@ impl SegmentStore {
         self.segments.iter().map(|(_, m)| m)
     }
 
-    /// The timestamp of the last event, if any.
-    pub fn last_time(&self) -> Option<Timestamp> {
-        self.segments
-            .iter()
-            .rev()
-            .find(|(_, m)| m.count > 0)
-            .map(|(_, m)| m.max_time)
-    }
-
     /// Streams every event in log order, one decoded segment resident at
     /// a time.
     pub fn iter(&self) -> Result<EventStream<'_>, SegmentError> {
-        self.stream(None)
-    }
-
-    /// Streams events with `start <= time < end`, skipping — without
-    /// reading their columns — segments whose min/max metadata proves
-    /// them disjoint from the window.
-    pub fn iter_window(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<EventStream<'_>, SegmentError> {
-        self.stream(Some((start, end)))
-    }
-
-    fn stream(
-        &self,
-        window: Option<(Timestamp, Timestamp)>,
-    ) -> Result<EventStream<'_>, SegmentError> {
-        let picked: Vec<&(PathBuf, SegmentMeta)> = match window {
-            None => self.segments.iter().collect(),
-            Some((start, end)) => self
-                .segments
-                .iter()
-                .filter(|(_, m)| !m.disjoint_from_window(start, end))
-                .collect(),
-        };
         Ok(EventStream {
-            segments: picked,
-            window,
+            segments: &self.segments,
             at: 0,
             current: Vec::new().into_iter(),
         })
     }
-
-    /// Materializes the full log in RAM — the bridge back to resident
-    /// consumers. `O(log)` memory; prefer [`iter`](Self::iter) at scale.
-    pub fn load_log(&self) -> Result<InteractionLog, SegmentError> {
-        let mut log = InteractionLog::new();
-        for e in self.iter()? {
-            log.push(e?);
-        }
-        Ok(log)
-    }
 }
 
 /// A streaming cursor over a [`SegmentStore`]: decodes one segment at a
-/// time and yields its events, optionally filtered to a time window.
+/// time and yields its events.
 pub struct EventStream<'a> {
-    segments: Vec<&'a (PathBuf, SegmentMeta)>,
-    window: Option<(Timestamp, Timestamp)>,
+    segments: &'a [(PathBuf, SegmentMeta)],
     at: usize,
     current: std::vec::IntoIter<Interaction>,
 }
@@ -193,21 +145,8 @@ impl Iterator for EventStream<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            for e in self.current.by_ref() {
-                match self.window {
-                    None => return Some(Ok(e)),
-                    Some((start, end)) => {
-                        if e.time >= end {
-                            // Segments are time-ordered; drain the rest of
-                            // this segment (cheap) and let pruning skip
-                            // later ones.
-                            break;
-                        }
-                        if e.time >= start {
-                            return Some(Ok(e));
-                        }
-                    }
-                }
+            if let Some(e) = self.current.next() {
+                return Some(Ok(e));
             }
             let (path, _) = self.segments.get(self.at)?;
             self.at += 1;
@@ -282,7 +221,7 @@ impl SegmentStoreWriter {
     /// # Panics
     ///
     /// Panics if `event.time` regresses — the same time-order contract as
-    /// [`InteractionLog::push`].
+    /// [`InteractionLog::push`](blockpart_graph::InteractionLog::push).
     pub fn push(&mut self, event: Interaction, block: BlockNumber) -> Result<(), SegmentError> {
         if let Some(last) = self.last_time {
             assert!(
@@ -390,7 +329,6 @@ mod tests {
         let events: Vec<Interaction> = store.iter().unwrap().map(|e| e.unwrap()).collect();
         assert_eq!(events.len(), 1000);
         assert_eq!(events, (0..1000).map(ev).collect::<Vec<_>>());
-        assert_eq!(store.last_time(), Some(Timestamp::from_secs(999)));
         cleanup(store);
     }
 
@@ -400,23 +338,6 @@ mod tests {
         let reopened = SegmentStore::open(store.dir()).unwrap();
         assert_eq!(reopened.event_count(), 300);
         assert_eq!(reopened.segment_count(), store.segment_count());
-        cleanup(store);
-    }
-
-    #[test]
-    fn window_iteration_prunes_and_filters() {
-        let store = temp_store("window", 1000, 100);
-        let t = Timestamp::from_secs;
-        let picked: Vec<Interaction> = store
-            .iter_window(t(250), t(320))
-            .unwrap()
-            .map(|e| e.unwrap())
-            .collect();
-        assert_eq!(picked.len(), 70);
-        assert_eq!(picked.first().unwrap().time, t(250));
-        assert_eq!(picked.last().unwrap().time, t(319));
-        // Pruning must refuse clearly-disjoint windows without decoding.
-        assert_eq!(store.iter_window(t(5000), t(6000)).unwrap().count(), 0);
         cleanup(store);
     }
 
@@ -435,7 +356,8 @@ mod tests {
         let a: Vec<Interaction> = store.iter().unwrap().map(|e| e.unwrap()).collect();
         let b: Vec<Interaction> = copy.iter().unwrap().map(|e| e.unwrap()).collect();
         assert_eq!(a, b);
-        assert_eq!(store.last_time(), copy.last_time());
+        let last_time = |s: &SegmentStore| s.segments().last().map(|m| m.max_time);
+        assert_eq!(last_time(&store), last_time(&copy));
         cleanup(copy);
         cleanup(store);
     }

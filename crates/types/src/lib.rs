@@ -39,5 +39,5 @@ pub use hash::{FastMap, FxHasher};
 pub use parallelism::resolve_workers;
 pub use quantity::{BlockNumber, Gas, Wei};
 pub use shard::{ShardCount, ShardId};
-pub use storage::{parse_mem_budget, SpillSession, StorageBackend, MEM_BUDGET_ENV, SPILL_DIR_ENV};
+pub use storage::{SpillSession, StorageBackend};
 pub use time::{Duration, Timestamp};

@@ -40,7 +40,7 @@ use blockpart::graph::io::write_trace;
 use blockpart::live::{LiveConfig, LiveRunner};
 use blockpart::obs::perfetto;
 use blockpart::storage::{SegmentStore, DEFAULT_SEGMENT_EVENTS};
-use blockpart::types::{parse_mem_budget, Duration, ShardCount, SpillSession, StorageBackend};
+use blockpart::types::{Duration, ShardCount, SpillSession, StorageBackend};
 
 const USAGE: &str = "\
 blockpart — blockchain-graph sharding study (Fynn & Pedone, DSN 2018)
@@ -57,19 +57,17 @@ COMMANDS:
                --scenario <s>  overlay an adversarial workload scenario,
                                `name[key=value;...]`, `+` composes
                                (default none: the friendly chain)
-               --mem-budget <size>  select the spill backend (e.g. 512m,
-                               2g): the chain streams block-by-block
-                               through an on-disk segment store, never
-                               holding the full log. The size is only
-                               printed in the progress line; it bounds
-                               nothing (default: BLOCKPART_MEM_BUDGET,
-                               else everything resident)
-               --spill-dir <path>   spill root (default:
-                               BLOCKPART_SPILL_DIR, else system temp)
+               --spill-dir <path>  stream the chain block by block
+                               through an on-disk segment store in a
+                               run directory under <path>, never holding
+                               the full log; the run directory is
+                               removed on success (default: everything
+                               resident; not with --scenario)
     study      run partitioning strategies over a synthetic chain
                --scale, --seed, --scenario as above
-               --mem-budget, --spill-dir as above (the offline stage then
-               streams the workload from disk segments)
+               --spill-dir <path>   as above (the offline stage then
+                                    streams the workload from disk
+                                    segments)
                --strategies <s,..>  strategy specs, `all` for the paper's
                                     five; parameterize with
                                     name[key=value;...]   (default all)
@@ -84,8 +82,6 @@ COMMANDS:
     runtime    execute the chain on each strategy's assignment through the
                sharded 2PC runtime and report coordination costs
                --scale, --seed, --scenario as above
-               --mem-budget, --spill-dir as above (2PC state shipping then
-               serializes through an on-disk account-state spool)
                --strategies <s,..>  (default hash,metis)
                --shards <k,..>   shard counts           (default 1,2,4)
                --latency-us <n>  one-way net latency, 0..=60000000
@@ -101,8 +97,6 @@ COMMANDS:
                strategy's trigger policy, and real 2PC state migrations,
                starting from hash placement
                --scale, --seed, --scenario as above
-               --mem-budget, --spill-dir as above (migration batches then
-               serialize through the on-disk spool)
                --strategy <s>    partitioner/trigger strategy spec
                                                       (default tr-metis)
                --k <n>           shard count           (default 4)
@@ -168,14 +162,7 @@ fn run(
             ensure_known_options(
                 &opts,
                 "generate",
-                &[
-                    "scale",
-                    "seed",
-                    "out",
-                    "scenario",
-                    "mem-budget",
-                    "spill-dir",
-                ],
+                &["scale", "seed", "out", "scenario", "spill-dir"],
             )?;
             cmd_generate(scenarios, &opts)
         }
@@ -194,7 +181,6 @@ fn run(
                     "json",
                     "trace",
                     "metrics",
-                    "mem-budget",
                     "spill-dir",
                 ],
             )?;
@@ -221,8 +207,6 @@ fn run(
                     "json",
                     "trace",
                     "metrics",
-                    "mem-budget",
-                    "spill-dir",
                 ],
             )?;
             cmd_runtime(registry, scenarios, &opts)
@@ -243,8 +227,6 @@ fn run(
                     "arrival-us",
                     "json",
                     "trace",
-                    "mem-budget",
-                    "spill-dir",
                 ],
             )?;
             cmd_live(registry, scenarios, &opts)
@@ -408,33 +390,25 @@ fn shards_of(opts: &HashMap<String, String>, default: &[u16]) -> Result<Vec<Shar
         .collect()
 }
 
-/// Resolves the storage backend from `--mem-budget` / `--spill-dir`,
-/// falling back to `BLOCKPART_MEM_BUDGET` / `BLOCKPART_SPILL_DIR`
-/// ([`StorageBackend::from_env`]). `--spill-dir` without any budget is an
-/// error — a root with nothing to spill is a misconfiguration.
+/// Resolves the storage backend: `--spill-dir <path>` spills to a run
+/// directory under `path`, no flag keeps everything resident. The path
+/// is probed by creating and removing a spill session, so an unusable
+/// directory is a named error before generation starts. Scenario chains
+/// are built resident, so `--spill-dir` with `--scenario` is an error
+/// too.
 fn storage_of(opts: &HashMap<String, String>) -> Result<StorageBackend, String> {
-    let budget = match opts.get("mem-budget") {
-        None => None,
-        Some(s) => Some(parse_mem_budget(s).ok_or_else(|| format!("invalid --mem-budget `{s}`"))?),
+    let Some(dir) = opts.get("spill-dir") else {
+        return Ok(StorageBackend::InMemory);
     };
-    let dir = opts.get("spill-dir").map(std::path::PathBuf::from);
-    match (budget, dir) {
-        (Some(budget), dir) => {
-            let root = dir
-                .or_else(|| std::env::var_os(blockpart::types::SPILL_DIR_ENV).map(Into::into))
-                .unwrap_or_else(std::env::temp_dir);
-            Ok(StorageBackend::spill(root, budget))
-        }
-        (None, Some(dir)) => match StorageBackend::from_env() {
-            StorageBackend::Spill {
-                mem_budget_bytes, ..
-            } => Ok(StorageBackend::spill(dir, mem_budget_bytes)),
-            StorageBackend::InMemory => {
-                Err("--spill-dir requires --mem-budget (or BLOCKPART_MEM_BUDGET)".into())
-            }
-        },
-        (None, None) => Ok(StorageBackend::from_env()),
+    if opts.contains_key("scenario") {
+        return Err(
+            "--spill-dir does not apply to --scenario (scenario chains are built in memory)".into(),
+        );
     }
+    SpillSession::create(dir)
+        .and_then(SpillSession::finish)
+        .map_err(|e| format!("spill session: {e}"))?;
+    Ok(StorageBackend::spill(dir))
 }
 
 /// Resolves `--scenario` (a `name[key=value;...]` spec, `+`-composable)
@@ -485,14 +459,14 @@ fn cmd_generate(
     let default_out = "trace.txt".to_string();
     let out = opts.get("out").unwrap_or(&default_out);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    // Scenario injectors need the resident chain; the plain generator can
-    // stream block-by-block through an on-disk segment store, so the full
-    // log is never in memory.
-    if storage.is_spill() && scenario.is_none() {
+    // The plain generator can stream block-by-block through an on-disk
+    // segment store, so the full log is never in memory (`storage_of`
+    // refuses a spill with a scenario, whose injectors need the resident
+    // chain).
+    if let Some(root) = storage.spill_dir() {
         let scale = scale_of(opts)?;
         let seed = seed_of(opts)?;
         eprintln!("generating 30-month history (scale {scale}, seed {seed}, {storage})...");
-        let root = storage.spill_dir().expect("spill backend has a root");
         let session = SpillSession::create(root).map_err(|e| format!("spill session: {e}"))?;
         let io = |e| format!("segment store: {e}");
         let mut writer =
@@ -669,7 +643,6 @@ fn cmd_runtime(
     let seed = seed_of(opts)?;
     let latency_us = micros_of(opts, "latency-us", 1_000)?;
     let arrival_us = micros_of(opts, "arrival-us", 500)?;
-    let storage = storage_of(opts)?;
     let chain = generate(opts, scenario.as_ref())?;
     let report = Experiment::over_chain(&chain)
         .named_strategies(registry, spec)
@@ -680,7 +653,6 @@ fn cmd_runtime(
         .replay(true)
         .net_latency_us(latency_us)
         .inter_arrival_us(arrival_us)
-        .storage(storage)
         .trace(tracing_requested(opts))
         .run();
     print_report(&report, json_of(opts), true);
@@ -740,7 +712,6 @@ fn cmd_live(
     let seed = seed_of(opts)?;
     let latency_us = micros_of(opts, "latency-us", 1_000)?;
     let arrival_us = micros_of(opts, "arrival-us", 500)?;
-    let storage = storage_of(opts)?;
     let chain = generate(opts, scenario.as_ref())?;
 
     // the strategy's own trigger/scope settings drive the live loop
@@ -752,14 +723,6 @@ fn cmd_live(
         .with_net_latency_us(latency_us)
         .with_inter_arrival_us(arrival_us);
     runtime_cfg.k = k;
-    // with a spill backend, migration batches serialize through the
-    // on-disk account-state spool (removed on success, kept on failure)
-    let mut session = None;
-    if let Some(root) = storage.spill_dir() {
-        let s = SpillSession::create(root).map_err(|e| format!("spill session: {e}"))?;
-        runtime_cfg = runtime_cfg.with_state_spool_dir(s.path().join("spool-live"));
-        session = Some(s);
-    }
     let cfg = LiveConfig::new(k)
         .with_window(window)
         .with_depth(depth)
@@ -787,11 +750,6 @@ fn cmd_live(
     }
     if let Some(path) = opts.get("trace") {
         write_perfetto(path, &run.session.finish())?;
-    }
-    if let Some(session) = session {
-        session
-            .finish()
-            .map_err(|e| format!("spill cleanup: {e}"))?;
     }
     Ok(())
 }

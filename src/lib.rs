@@ -16,8 +16,8 @@
 //!   blocks and the era-driven workload generator;
 //! * [`shard`] — the sharding simulator (placement, repartition policies,
 //!   move accounting);
-//! * [`storage`] — the out-of-core backend: on-disk segment store and
-//!   compact account-state spool;
+//! * [`storage`] — the out-of-core backend: an on-disk segment store a
+//!   generated chain streams through;
 //! * [`runtime`] — the sharded 2PC execution engine;
 //! * [`live`] — the online repartitioning service: windowed graph,
 //!   triggered re-partition, live state migration through the 2PC

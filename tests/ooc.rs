@@ -2,12 +2,12 @@
 //!
 //! The segment round-trip property pins the BPSG on-disk format: write →
 //! read → re-write is lossless, including the per-segment min/max time
-//! and block metadata that window pruning relies on; a truncated tail
-//! segment surfaces as a named error, never a panic. That spilled and
-//! resident runs produce the same reports is checked in
-//! `crates/core/src/experiment.rs`
-//! (`spill_backend_matches_in_memory_backend` and
-//! `spooled_replay_matches_resident_replay`).
+//! and block metadata in each segment header; a truncated tail segment
+//! surfaces as a named error, never a panic. That spilled and resident
+//! runs produce the same reports is checked by
+//! `spill_backend_matches_in_memory_backend` in
+//! `crates/core/src/experiment.rs` and by the `--spill-dir` cases of
+//! `tests/cli.rs`.
 
 use blockpart::graph::Interaction;
 use blockpart::storage::{SegmentError, SegmentStore, SpillSession};
