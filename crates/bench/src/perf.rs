@@ -619,17 +619,14 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         .expect("built-in strategy resolves");
     for &k in &config.shard_counts {
         let shard_count = ShardCount::new(k).expect("non-zero shard count");
-        let sim_config = live_spec.simulator_config(shard_count);
-        let window = Duration::hours(4);
-        let depth = (sim_config.scope_window.as_secs() / window.as_secs()).max(1) as usize;
         let mut runtime_config = live_spec.runtime_config(shard_count).with_seed(config.seed);
         runtime_config.k = shard_count;
-        let live_config = LiveConfig::new(shard_count)
-            .with_window(window)
-            .with_depth(depth)
-            .with_policy(sim_config.policy)
-            .with_runtime(runtime_config)
-            .with_label("tr-metis");
+        let live_config = LiveConfig::for_strategy(
+            &live_spec.simulator_config(shard_count),
+            Duration::hours(4),
+            runtime_config,
+        )
+        .with_label("tr-metis");
         let (ms, live) = time_stage(config.warmup, config.trials, || {
             LiveRunner::new(
                 live_config.clone(),
@@ -699,17 +696,14 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             throughput(hostile.log.len(), ms),
         );
 
-        let sim_config = live_spec.simulator_config(scenario_k);
-        let window = Duration::hours(4);
-        let depth = (sim_config.scope_window.as_secs() / window.as_secs()).max(1) as usize;
         let mut runtime_config = live_spec.runtime_config(scenario_k).with_seed(config.seed);
         runtime_config.k = scenario_k;
-        let live_config = LiveConfig::new(scenario_k)
-            .with_window(window)
-            .with_depth(depth)
-            .with_policy(sim_config.policy)
-            .with_runtime(runtime_config)
-            .with_label("tr-metis");
+        let live_config = LiveConfig::for_strategy(
+            &live_spec.simulator_config(scenario_k),
+            Duration::hours(4),
+            runtime_config,
+        )
+        .with_label("tr-metis");
         let (_, live) = time_stage(0, 1, || {
             LiveRunner::new(
                 live_config.clone(),

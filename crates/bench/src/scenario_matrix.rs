@@ -21,6 +21,7 @@
 use blockpart_core::{Experiment, ExperimentReport, ScenarioRegistry, StrategyRegistry};
 use blockpart_ethereum::gen::GeneratorConfig;
 use blockpart_metrics::Json;
+use blockpart_partition::CutMetrics;
 use blockpart_types::ShardCount;
 
 /// Schema identifier stamped into every scenario-matrix document.
@@ -122,25 +123,6 @@ pub struct MatrixReport {
     pub rows: Vec<MatrixRow>,
 }
 
-/// Mean cut/balance over the offline windows that saw traffic — the
-/// same aggregation the experiment tables use.
-fn mean_offline_metrics(sim: &blockpart_shard::SimulationResult) -> (f64, f64) {
-    let active: Vec<_> = sim.windows.iter().filter(|w| w.events > 0).collect();
-    let n = active.len().max(1) as f64;
-    (
-        active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
-        active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
-    )
-}
-
-fn normalized_balance(mean_balance: f64, k: u16) -> f64 {
-    if k <= 1 {
-        0.0
-    } else {
-        ((mean_balance - 1.0) / (f64::from(k) - 1.0)).max(0.0)
-    }
-}
-
 /// Flattens one scenario's [`ExperimentReport`] into matrix rows.
 fn rows_of(scenario: &str, report: &ExperimentReport) -> Vec<MatrixRow> {
     report
@@ -148,8 +130,8 @@ fn rows_of(scenario: &str, report: &ExperimentReport) -> Vec<MatrixRow> {
         .iter()
         .map(|run| {
             let (cut, balance) = run.offline.as_ref().map_or((0.0, 0.0), |sim| {
-                let (cut, bal) = mean_offline_metrics(sim);
-                (cut, normalized_balance(bal, run.k.get()))
+                let (cut, bal) = sim.mean_window_metrics();
+                (cut, CutMetrics::normalized_balance(bal, run.k.as_usize()))
             });
             MatrixRow {
                 scenario: scenario.to_string(),

@@ -31,12 +31,11 @@ pub struct AblationRun {
 
 impl AblationRun {
     fn from_result(label: String, result: &SimulationResult) -> AblationRun {
-        let active: Vec<_> = result.windows.iter().filter(|w| w.events > 0).collect();
-        let n = active.len().max(1) as f64;
+        let (dynamic_edge_cut, dynamic_balance) = result.mean_window_metrics();
         AblationRun {
             label,
-            dynamic_edge_cut: active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
-            dynamic_balance: active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
+            dynamic_edge_cut,
+            dynamic_balance,
             moves: result.total_moves,
             repartitions: result.repartitions,
         }

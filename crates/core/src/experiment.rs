@@ -48,6 +48,7 @@ use blockpart_graph::InteractionLog;
 use blockpart_live::{LiveConfig, LiveRunner, MigrationReport};
 use blockpart_metrics::{Json, Table};
 use blockpart_obs::{perfetto, Collector, Record, Trace};
+use blockpart_partition::CutMetrics;
 use blockpart_runtime::{Assignment, RuntimeReport, ShardedRuntime};
 use blockpart_shard::{ShardSimulator, SimulationResult};
 use blockpart_storage::{SegmentStore, DEFAULT_SEGMENT_EVENTS};
@@ -174,8 +175,8 @@ impl ExperimentReport {
         ]);
         for r in &self.runs {
             let Some(sim) = &r.offline else { continue };
-            let (cut, bal) = mean_window_metrics(sim);
-            let normalized = normalized_balance(bal, r.k.as_usize());
+            let (cut, bal) = sim.mean_window_metrics();
+            let normalized = CutMetrics::normalized_balance(bal, r.k.as_usize());
             t.row(vec![
                 r.strategy.clone(),
                 r.k.get().to_string(),
@@ -327,30 +328,8 @@ fn next_task(local: &Worker<usize>, stealers: &[Stealer<usize>], me: usize) -> O
     }
 }
 
-/// Mean per-window dynamic edge-cut and balance over active windows —
-/// the aggregation behind the offline table (the Fig. 5 columns) and
-/// the report JSON.
-fn mean_window_metrics(sim: &SimulationResult) -> (f64, f64) {
-    let active: Vec<_> = sim.windows.iter().filter(|w| w.events > 0).collect();
-    let n = active.len().max(1) as f64;
-    (
-        active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
-        active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
-    )
-}
-
-/// Normalizes a mean dynamic balance as `(b − 1)/(k − 1)` so different
-/// shard counts are comparable (the paper's Fig. 5 y-axis).
-fn normalized_balance(mean_balance: f64, k: usize) -> f64 {
-    if k <= 1 {
-        0.0
-    } else {
-        ((mean_balance - 1.0) / (k as f64 - 1.0)).max(0.0)
-    }
-}
-
 fn offline_json(sim: &SimulationResult) -> Json {
-    let (cut, bal) = mean_window_metrics(sim);
+    let (cut, bal) = sim.mean_window_metrics();
     let mut pairs = vec![
         ("windows".to_string(), Json::from(sim.windows.len())),
         ("total_moves".to_string(), Json::from(sim.total_moves)),
@@ -921,10 +900,7 @@ impl<'a> Experiment<'a> {
         let live = if self.live {
             let chain = chain.expect("checked in run()");
             let live_start = obs.now_us();
-            // the strategy's own trigger/scope settings drive the live
-            // loop: retention depth = reduced-graph span in windows
-            let sim_cfg = spec.simulator_config(k);
-            let depth = (sim_cfg.scope_window.as_secs() / self.window.as_secs()).max(1) as usize;
+            // the strategy's own trigger/scope settings drive the live loop
             let mut runtime_cfg = spec.runtime_config(k).with_seed(self.seed);
             runtime_cfg.k = k;
             if let Some(latency) = self.net_latency_us {
@@ -933,11 +909,7 @@ impl<'a> Experiment<'a> {
             if let Some(gap) = self.inter_arrival_us {
                 runtime_cfg = runtime_cfg.with_inter_arrival_us(gap);
             }
-            let cfg = LiveConfig::new(k)
-                .with_window(self.window)
-                .with_depth(depth)
-                .with_policy(sim_cfg.policy)
-                .with_runtime(runtime_cfg)
+            let cfg = LiveConfig::for_strategy(&spec.simulator_config(k), self.window, runtime_cfg)
                 .with_label(spec.name());
             let mut runner = LiveRunner::new(cfg, spec.build_partitioner(self.seed));
             let report = runner.run(chain.chain.world(), &chain.txs).report;

@@ -17,7 +17,7 @@
 //! the [`ShardSimulator`](blockpart_shard::ShardSimulator).
 
 use blockpart_ethereum::gen::{ChainGenerator, GeneratorConfig};
-use blockpart_graph::GraphBuilder;
+use blockpart_graph::InteractionLog;
 use blockpart_metrics::Table;
 use blockpart_obs::profile::{aggregate, coverage, StageRow};
 use blockpart_obs::{profile, Collector, Record, Stopwatch, Trace};
@@ -121,13 +121,7 @@ pub fn run_profile(
 
     // ---- graph-build ----------------------------------------------------
     let start = obs.now_us();
-    let mut builder = GraphBuilder::new();
-    for e in chain.log.events() {
-        builder.touch(e.from, e.from_kind);
-        builder.touch(e.to, e.to_kind);
-        builder.add_interaction(e.from, e.to, e.weight);
-    }
-    let graph = builder.build();
+    let graph = InteractionLog::graph_of(chain.log.events());
     let dur = obs.now_us() - start;
     obs.record(
         Record::span(start, dur, "stage", "graph-build")

@@ -31,14 +31,12 @@ mod block;
 mod chain;
 pub mod evm;
 pub mod gen;
-mod pool;
 mod program;
 mod state;
 mod transaction;
 
 pub use block::{Block, BlockSummary};
 pub use chain::{Chain, SyntheticChain};
-pub use pool::TxPool;
 pub use program::ContractTemplate;
 pub use state::{AccountState, AddressState, ContractState, Storage, World};
 pub use transaction::{

@@ -61,6 +61,50 @@ impl Csr {
         }
     }
 
+    /// Builds a CSR from vertex weights and a flat list of half-edges
+    /// `(u, v, w)`, each undirected edge listed once from each endpoint.
+    /// Sorts the list by `(u, v)`, sums duplicate pairs and emits the
+    /// rows: the one constructor behind [`Csr::from_edges`],
+    /// [`Graph::to_csr`](crate::Graph::to_csr) and every other assembled
+    /// partitioner input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a half-edge's source is `>= vwgt.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use blockpart_graph::Csr;
+    ///
+    /// // the edge {0, 1} recorded twice, each time from both endpoints
+    /// let halves = vec![(1, 0, 2), (0, 1, 2), (0, 1, 3), (1, 0, 3)];
+    /// let csr = Csr::from_half_edges(vec![4, 1], halves);
+    /// assert_eq!(csr.neighbors(0).collect::<Vec<_>>(), vec![(1, 5)]);
+    /// assert_eq!(csr.total_edge_weight(), 5);
+    /// assert_eq!(csr.total_vertex_weight(), 5);
+    /// ```
+    pub fn from_half_edges(vwgt: Vec<u64>, mut half_edges: Vec<(u32, u32, u64)>) -> Self {
+        half_edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        half_edges.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+        let mut xadj = vec![0usize; vwgt.len() + 1];
+        for &(u, _, _) in &half_edges {
+            xadj[u as usize + 1] += 1;
+        }
+        for v in 0..vwgt.len() {
+            xadj[v + 1] += xadj[v];
+        }
+        let adjncy = half_edges.iter().map(|&(_, v, _)| v).collect();
+        let adjwgt = half_edges.iter().map(|&(_, _, w)| w).collect();
+        Csr::from_parts(xadj, adjncy, adjwgt, vwgt)
+    }
+
     /// Builds a CSR with `n` unit-weight vertices from an undirected edge
     /// list `(u, v, weight)`. Duplicate and reversed pairs merge by summing.
     ///
@@ -69,29 +113,17 @@ impl Csr {
     /// Panics if an endpoint is `>= n` or if `u == v` (self-loops are not
     /// representable in the symmetric view).
     pub fn from_edges(n: usize, edges: &[(u32, u32, u64)]) -> Self {
-        use std::collections::BTreeMap;
-        let mut rows: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); n];
+        let mut half_edges = Vec::with_capacity(2 * edges.len());
         for &(u, v, w) in edges {
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "endpoint out of range"
             );
             assert_ne!(u, v, "self-loops are not allowed in a symmetric CSR");
-            *rows[u as usize].entry(v).or_insert(0) += w;
-            *rows[v as usize].entry(u).or_insert(0) += w;
+            half_edges.push((u, v, w));
+            half_edges.push((v, u, w));
         }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        xadj.push(0);
-        for row in rows {
-            for (t, w) in row {
-                adjncy.push(t);
-                adjwgt.push(w);
-            }
-            xadj.push(adjncy.len());
-        }
-        Csr::from_parts(xadj, adjncy, adjwgt, vec![1; n])
+        Csr::from_half_edges(vec![1; n], half_edges)
     }
 
     /// Number of vertices.

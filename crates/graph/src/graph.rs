@@ -200,29 +200,14 @@ impl Graph {
     /// Vertices with zero activity get weight 1 so balance constraints stay
     /// well-defined (METIS does the same with unit weights).
     pub fn to_csr(&self) -> Csr {
-        let n = self.node_count();
-        let vwgt: Vec<u64> = self.node_weights.iter().map(|&w| w.max(1)).collect();
-        // Accumulate undirected neighbour weights.
-        let mut sym: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
+        let vwgt = self.node_weights.iter().map(|&w| w.max(1)).collect();
+        let mut half_edges = Vec::with_capacity(2 * self.edge_count());
         for e in self.edges() {
-            let (u, v) = (e.source.index(), e.target.index());
-            *sym[u].entry(v as u32).or_insert(0) += e.weight;
-            *sym[v].entry(u as u32).or_insert(0) += e.weight;
+            let (u, v) = (e.source.as_u32(), e.target.as_u32());
+            half_edges.push((u, v, e.weight));
+            half_edges.push((v, u, e.weight));
         }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        xadj.push(0usize);
-        for row in &sym {
-            let mut sorted: Vec<(u32, u64)> = row.iter().map(|(&t, &w)| (t, w)).collect();
-            sorted.sort_unstable_by_key(|&(t, _)| t);
-            for (t, w) in sorted {
-                adjncy.push(t);
-                adjwgt.push(w);
-            }
-            xadj.push(adjncy.len());
-        }
-        Csr::from_parts(xadj, adjncy, adjwgt, vwgt)
+        Csr::from_half_edges(vwgt, half_edges)
     }
 
     /// Rebuilds the address → node index after deserialization.

@@ -21,7 +21,11 @@
 //!
 //! Graphs are built by [`GraphBuilder`], directly or from a log slice by
 //! [`InteractionLog::graph_of`], and symmetrized by [`Graph::to_csr`]; all
-//! of it runs on the calling thread over resident data.
+//! of it runs on the calling thread over resident data. Every symmetric
+//! view, [`Graph::to_csr`] and [`Csr::from_edges`] included, comes out of
+//! one constructor, [`Csr::from_half_edges`]: it sorts a flat list of
+//! half-edges by `(u, v)`, sums duplicates and emits the rows, with no
+//! per-row map.
 //!
 //! # Examples
 //!

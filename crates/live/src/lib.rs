@@ -46,7 +46,7 @@ use blockpart_partition::{Partition, PartitionRequest, Partitioner};
 use blockpart_runtime::{
     Assignment, LiveSession, MigrationConfig, MigrationStats, RuntimeConfig, SegmentReport,
 };
-use blockpart_shard::{RepartitionPolicy, WindowedGraph};
+use blockpart_shard::{RepartitionPolicy, SimulatorConfig, WindowedGraph};
 use blockpart_types::{Duration, ShardCount, Timestamp};
 use serde::{Deserialize, Serialize};
 
@@ -105,6 +105,23 @@ impl LiveConfig {
             traced: false,
             label: None,
         }
+    }
+
+    /// The live loop a strategy's offline configuration implies: `sim`'s
+    /// shard count and trigger policy, `window`-long windows, and a
+    /// retention depth of `sim`'s reduced-graph span in windows (at
+    /// least one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or `runtime` spans a different shard
+    /// count than `sim`.
+    pub fn for_strategy(sim: &SimulatorConfig, window: Duration, runtime: RuntimeConfig) -> Self {
+        let cfg = LiveConfig::new(sim.k).with_window(window);
+        let depth = (sim.scope_window.as_secs() / window.as_secs()).max(1) as usize;
+        cfg.with_depth(depth)
+            .with_policy(sim.policy)
+            .with_runtime(runtime)
     }
 
     /// Overrides the window length.

@@ -6,7 +6,6 @@
 //! per-method aggregates versus shard count (Fig. 5). This crate provides
 //! the corresponding building blocks:
 //!
-//! * [`TimeSeries`] — timestamped scalar series with CSV export;
 //! * [`FiveNumber`] — min/Q1/median/Q3/max (the box-and-whisker numbers);
 //! * [`ViolinDensity`] — a Gaussian kernel density estimate (the violin);
 //! * [`Table`] — ASCII/CSV table rendering for the bench binaries;
@@ -32,12 +31,10 @@ mod concentration;
 mod histogram;
 mod json;
 mod report;
-mod series;
 mod summary;
 
 pub use concentration::{gini, top_share};
 pub use histogram::LogHistogram;
 pub use json::Json;
 pub use report::Table;
-pub use series::TimeSeries;
 pub use summary::{percentile_sorted, FiveNumber, ViolinDensity};

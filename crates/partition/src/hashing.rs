@@ -1,6 +1,6 @@
 //! Hash partitioning: `hash(vertex id) mod k`.
 
-use blockpart_types::ShardId;
+use blockpart_types::{mix64, ShardId};
 
 use crate::partition::Partition;
 use crate::traits::{PartitionRequest, Partitioner};
@@ -58,15 +58,6 @@ impl Partitioner for HashPartitioner {
             .collect();
         Partition::from_assignment(assignment, req.k).expect("hash shard always < k")
     }
-}
-
-/// SplitMix64 finalizer (same mixer as `blockpart_types::Address` uses) so
-/// ids that are already hashes and raw dense indices both spread well.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

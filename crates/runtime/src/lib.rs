@@ -54,12 +54,12 @@ use std::collections::{BTreeMap, HashMap};
 use blockpart_ethereum::{ExecutedTx, World};
 use blockpart_obs::Trace;
 use blockpart_shard::AssignmentDelta;
-use blockpart_types::{Address, ShardCount, ShardId};
+use blockpart_types::{mix64, Address, ShardCount, ShardId};
 
 use crate::clock::{EventQueue, Micros};
 use crate::event::{Event, TxId};
 use crate::net::NetworkModel;
-use crate::shard_worker::{mix64, Ctx, ShardWorker, TxKind, TxRecord};
+use crate::shard_worker::{Ctx, ShardWorker, TxKind, TxRecord};
 
 pub use crate::live::{LiveSession, MigrationConfig, MigrationStats, SegmentReport};
 pub use crate::report::{RuntimeReport, ShardReport};

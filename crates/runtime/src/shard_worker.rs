@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 use blockpart_ethereum::evm::{ExecContext, GasSchedule, Vm};
 use blockpart_ethereum::{Receipt, Transaction, World};
 use blockpart_obs::{Collector, Record, Trace};
-use blockpart_types::{Address, FastMap, ShardId, Timestamp};
+use blockpart_types::{mix64, Address, FastMap, ShardId, Timestamp};
 
 use crate::clock::Micros;
 use crate::coordinator::CoordState;
@@ -684,12 +684,4 @@ impl ShardWorker {
 fn backoff_us(cfg: &RuntimeConfig, tx: TxId, attempt: u32) -> u64 {
     let base = cfg.retry_backoff_us.max(1);
     base * u64::from(attempt.min(16)) + mix64(u64::from(tx.0) ^ (u64::from(attempt) << 32)) % base
-}
-
-/// splitmix64 finalizer.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }

@@ -44,9 +44,17 @@ impl AssignmentDelta {
         old: impl Fn(Address) -> ShardId,
         new: impl Fn(Address) -> ShardId,
     ) -> Self {
+        Self::from_moves(addresses.into_iter().map(|a| (a, old(a), new(a))))
+    }
+
+    /// Collects the delta from `(address, from, to)` triples: a triple
+    /// whose shards differ is a move. Duplicate addresses are considered
+    /// once.
+    pub(crate) fn from_moves(
+        triples: impl IntoIterator<Item = (Address, ShardId, ShardId)>,
+    ) -> Self {
         let mut moves: BTreeMap<(ShardId, ShardId), Vec<Address>> = BTreeMap::new();
-        for a in addresses {
-            let (from, to) = (old(a), new(a));
+        for (a, from, to) in triples {
             if from != to {
                 moves.entry((from, to)).or_default().push(a);
             }

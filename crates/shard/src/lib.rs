@@ -12,6 +12,15 @@
 //! | R-METIS   | [`MultilevelPartitioner`] | `MinCut` | `Periodic`        | `Window` (2 weeks) |
 //! | TR-METIS  | [`MultilevelPartitioner`] | `MinCut` | `Threshold`       | `Window` |
 //!
+//! Every partitioner input is assembled one way. [`ShardedState`] interns
+//! each address once, when it enters, and keeps shard, kind, activity and
+//! adjacency in vectors indexed by that dense id; its cumulative graph
+//! and every reduced graph come out of
+//! [`Csr::from_half_edges`](blockpart_graph::Csr::from_half_edges). The
+//! offline `Window` scope and the live [`WindowedGraph`] share one
+//! reduced-graph function (`window::reduced_graph`), which scales each
+//! interaction by a multiplier: 1 offline, the decay factor live.
+//!
 //! # Examples
 //!
 //! ```

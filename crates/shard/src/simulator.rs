@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use blockpart_graph::{GraphBuilder, Interaction, InteractionLog};
+use blockpart_graph::{Interaction, InteractionLog};
 use blockpart_obs::{Collector, Noop, Record};
 use blockpart_partition::{PartitionRequest, Partitioner};
 use blockpart_types::{Address, Duration, ShardCount, Timestamp};
@@ -12,6 +12,7 @@ use crate::delta::AssignmentDelta;
 use crate::placement::PlacementRule;
 use crate::policy::{RepartitionPolicy, RepartitionScope};
 use crate::state::ShardedState;
+use crate::window::{reduced_graph, WindowAccum};
 
 /// Simulator configuration: shard count, measurement window, placement
 /// rule, repartition policy and scope.
@@ -152,6 +153,18 @@ impl SimulationResult {
         &self.windows[lo..hi]
     }
 
+    /// Mean per-window dynamic edge-cut and balance over the windows that
+    /// saw traffic: the Fig. 5 aggregation behind the offline tables, the
+    /// report JSON and the ablations.
+    pub fn mean_window_metrics(&self) -> (f64, f64) {
+        let active: Vec<_> = self.windows.iter().filter(|w| w.events > 0).collect();
+        let n = active.len().max(1) as f64;
+        (
+            active.iter().map(|w| w.dynamic_edge_cut).sum::<f64>() / n,
+            active.iter().map(|w| w.dynamic_balance).sum::<f64>() / n,
+        )
+    }
+
     /// Total moves in `[start, end)`.
     pub fn moves_in(&self, start: Timestamp, end: Timestamp) -> u64 {
         self.windows_in(start, end).iter().map(|w| w.moves).sum()
@@ -175,48 +188,6 @@ impl std::fmt::Debug for ShardSimulator {
             .field("partitioner", &self.partitioner.name())
             .field("vertices", &self.state.vertex_count())
             .finish()
-    }
-}
-
-/// Per-window accumulators.
-#[derive(Default)]
-struct WindowAccum {
-    events: usize,
-    cut_weight: u64,
-    total_weight: u64,
-    shard_activity: Vec<u64>,
-}
-
-impl WindowAccum {
-    fn new(k: ShardCount) -> Self {
-        WindowAccum {
-            shard_activity: vec![0; k.as_usize()],
-            ..WindowAccum::default()
-        }
-    }
-
-    fn reset(&mut self) {
-        self.events = 0;
-        self.cut_weight = 0;
-        self.total_weight = 0;
-        self.shard_activity.iter_mut().for_each(|a| *a = 0);
-    }
-
-    fn dynamic_edge_cut(&self) -> f64 {
-        if self.total_weight == 0 {
-            0.0
-        } else {
-            self.cut_weight as f64 / self.total_weight as f64
-        }
-    }
-
-    fn dynamic_balance(&self) -> f64 {
-        let total: u64 = self.shard_activity.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = *self.shard_activity.iter().max().expect("k >= 1");
-        max as f64 * self.shard_activity.len() as f64 / total as f64
     }
 }
 
@@ -340,29 +311,20 @@ impl ShardSimulator {
         let (u, v, w) = (event.from, event.to, event.weight);
         // place new vertices (source first, then target with the source as
         // counterparty — the paper's min-cut rule co-locates them)
-        if !self.state.contains(u) {
+        let su = self.state.shard_of(u).unwrap_or_else(|| {
             let counterparty = self.state.contains(v).then_some(v);
             let shard = self.config.placement.place(&self.state, u, counterparty);
             self.state.insert_vertex(u, event.from_kind, shard);
-        }
-        if !self.state.contains(v) {
+            shard
+        });
+        let sv = self.state.shard_of(v).unwrap_or_else(|| {
             let shard = self.config.placement.place(&self.state, v, Some(u));
             self.state.insert_vertex(v, event.to_kind, shard);
-        }
+            shard
+        });
         self.state.note_kind(u, event.from_kind);
         self.state.note_kind(v, event.to_kind);
-
-        let su = self.state.shard_of(u).expect("just placed");
-        let sv = self.state.shard_of(v).expect("just placed");
-        accum.events += 1;
-        accum.shard_activity[su.as_usize()] += w;
-        if u != v {
-            accum.shard_activity[sv.as_usize()] += w;
-            accum.total_weight += w;
-            if su != sv {
-                accum.cut_weight += w;
-            }
-        }
+        accum.add(su, sv, u == v, w);
         self.state.record_edge(u, v, w);
 
         if self.config.scope == RepartitionScope::Window {
@@ -429,20 +391,12 @@ impl ShardSimulator {
         let (csr, order, ids, previous) = match self.config.scope {
             RepartitionScope::Full => self.state.full_graph(),
             RepartitionScope::Window => {
-                let mut builder = GraphBuilder::new();
-                for e in &self.recent {
-                    builder.touch(e.from, e.from_kind);
-                    builder.touch(e.to, e.to_kind);
-                    builder.add_interaction(e.from, e.to, e.weight);
-                }
-                let graph = builder.build();
-                if graph.is_empty() {
+                let Some((csr, order, ids)) = reduced_graph(self.recent.iter().map(|e| (e, 1)))
+                else {
                     return (0, 0);
-                }
-                let order: Vec<Address> = graph.nodes().map(|n| n.address).collect();
-                let ids: Vec<u64> = order.iter().map(|a| a.stable_hash()).collect();
+                };
                 let previous = self.state.partition_of(&order);
-                (graph.to_csr(), order, ids, previous)
+                (csr, order, ids, previous)
             }
         };
         if obs.enabled() {
@@ -472,12 +426,11 @@ impl ShardSimulator {
         let t2 = obs.now_us();
         // derive the move set from the assignment delta — the same type
         // the live migration service batches from — then apply it
-        let index: HashMap<Address, usize> =
-            order.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        let delta = AssignmentDelta::between(
-            order.iter().copied(),
-            |a| self.state.shard_of(a).expect("scoped vertex is assigned"),
-            |a| new_partition.shard_of(index[&a]),
+        let delta = AssignmentDelta::from_moves(
+            order
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| (a, previous.shard_of(i), new_partition.shard_of(i))),
         );
         let moves = delta.total_moved();
         let mut units = 0u64;
@@ -745,6 +698,27 @@ mod tests {
         // the star graph should end up with zero cut after repartition
         let last = r.windows.last().unwrap();
         assert!(last.cumulative_dynamic_edge_cut < 0.7);
+    }
+
+    #[test]
+    fn mean_window_metrics_average_active_windows_only() {
+        let w = |events, dynamic_edge_cut, dynamic_balance| WindowRecord {
+            events,
+            dynamic_edge_cut,
+            dynamic_balance,
+            ..WindowRecord::default()
+        };
+        let r = SimulationResult {
+            windows: vec![w(3, 0.5, 1.5), w(0, 0.9, 2.0), w(1, 0.1, 1.1)],
+            ..SimulationResult::default()
+        };
+        let (cut, bal) = r.mean_window_metrics();
+        assert!((cut - 0.3).abs() < 1e-12, "cut {cut}");
+        assert!((bal - 1.3).abs() < 1e-12, "balance {bal}");
+        assert_eq!(
+            SimulationResult::default().mean_window_metrics(),
+            (0.0, 0.0)
+        );
     }
 
     #[test]

@@ -1,20 +1,26 @@
 //! Incrementally-maintained sharded graph state.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use blockpart_graph::Csr;
 use blockpart_partition::Partition;
 use blockpart_types::{AccountKind, Address, ShardCount, ShardId};
 
-/// Eq. 2 balance of an arbitrary per-shard activity vector: the most
-/// loaded shard's share of the total, normalised so 1.0 is perfect.
-pub(crate) fn activity_balance(activity: &[u64]) -> f64 {
-    let total: u64 = activity.iter().sum();
+/// Eq. 2 balance of per-shard loads (vertex counts or activity): the
+/// most loaded shard's share of the total, normalised so 1.0 is perfect.
+/// Nothing loaded counts as perfect balance.
+pub(crate) fn load_balance(loads: impl IntoIterator<Item = u64>) -> f64 {
+    let (mut k, mut max, mut total) = (0usize, 0u64, 0u64);
+    for load in loads {
+        k += 1;
+        max = max.max(load);
+        total += load;
+    }
     if total == 0 {
         return 1.0;
     }
-    let max = *activity.iter().max().expect("k >= 1");
-    max as f64 * activity.len() as f64 / total as f64
+    max as f64 * k as f64 / total as f64
 }
 
 /// The cumulative blockchain graph together with the current shard
@@ -25,6 +31,10 @@ pub(crate) fn activity_balance(activity: &[u64]) -> f64 {
 /// cumulative graph: distinct/cut edge counts (static edge-cut), per-shard
 /// vertex counts (static balance), edge weights (dynamic edge-cut) and
 /// per-shard activity (dynamic balance).
+///
+/// Each address is interned once, on insertion, to a dense id in
+/// first-seen order; shard, kind, activity and adjacency are flat vectors
+/// indexed by that id.
 ///
 /// # Examples
 ///
@@ -44,11 +54,16 @@ pub(crate) fn activity_balance(activity: &[u64]) -> f64 {
 #[derive(Clone, Debug)]
 pub struct ShardedState {
     k: ShardCount,
-    assignment: HashMap<Address, ShardId>,
+    /// Dense id of every known address. Addresses can come from a trace
+    /// file, so the map keeps std's SipHash.
+    index: HashMap<Address, u32>,
+    /// Addresses by id.
     order: Vec<Address>,
-    kinds: HashMap<Address, AccountKind>,
-    adj: HashMap<Address, HashMap<Address, u64>>,
-    activity: HashMap<Address, u64>,
+    shard: Vec<ShardId>,
+    kinds: Vec<AccountKind>,
+    activity: Vec<u64>,
+    /// Symmetric adjacency: neighbour id → accumulated edge weight.
+    adj: Vec<HashMap<u32, u64>>,
     shard_counts: Vec<usize>,
     shard_activity: Vec<u64>,
     cut_edges: usize,
@@ -62,11 +77,12 @@ impl ShardedState {
     pub fn new(k: ShardCount) -> Self {
         ShardedState {
             k,
-            assignment: HashMap::new(),
+            index: HashMap::new(),
             order: Vec::new(),
-            kinds: HashMap::new(),
-            adj: HashMap::new(),
-            activity: HashMap::new(),
+            shard: Vec::new(),
+            kinds: Vec::new(),
+            activity: Vec::new(),
+            adj: Vec::new(),
             shard_counts: vec![0; k.as_usize()],
             shard_activity: vec![0; k.as_usize()],
             cut_edges: 0,
@@ -91,24 +107,28 @@ impl ShardedState {
         self.total_edges
     }
 
+    fn id_of(&self, address: Address) -> Option<usize> {
+        self.index.get(&address).map(|&id| id as usize)
+    }
+
     /// The current shard of `address`, if assigned.
     pub fn shard_of(&self, address: Address) -> Option<ShardId> {
-        self.assignment.get(&address).copied()
+        self.id_of(address).map(|id| self.shard[id])
     }
 
     /// Returns `true` if the vertex is known.
     pub fn contains(&self, address: Address) -> bool {
-        self.assignment.contains_key(&address)
+        self.index.contains_key(&address)
     }
 
     /// The recorded kind of `address`.
     pub fn kind_of(&self, address: Address) -> Option<AccountKind> {
-        self.kinds.get(&address).copied()
+        self.id_of(address).map(|id| self.kinds[id])
     }
 
     /// Cumulative activity weight of `address`.
     pub fn activity_of(&self, address: Address) -> u64 {
-        self.activity.get(&address).copied().unwrap_or(0)
+        self.id_of(address).map_or(0, |id| self.activity[id])
     }
 
     /// Per-shard vertex counts.
@@ -128,18 +148,25 @@ impl ShardedState {
     /// Panics if the vertex already exists or `shard >= k`.
     pub fn insert_vertex(&mut self, address: Address, kind: AccountKind, shard: ShardId) {
         assert!(self.k.contains(shard), "shard out of range");
-        let prev = self.assignment.insert(address, shard);
+        let id = u32::try_from(self.order.len()).expect("state exceeds u32 vertex capacity");
+        let prev = self.index.insert(address, id);
         assert!(prev.is_none(), "vertex {address} inserted twice");
         self.order.push(address);
-        self.kinds.insert(address, kind);
+        self.shard.push(shard);
+        self.kinds.push(kind);
+        self.activity.push(0);
+        self.adj.push(HashMap::new());
         self.shard_counts[shard.as_usize()] += 1;
     }
 
-    /// Upgrades a vertex to contract kind (creations can arrive after the
-    /// address was first seen as a plain transfer target).
+    /// Upgrades a known vertex to contract kind (creations can arrive
+    /// after the address was first seen as a plain transfer target).
+    /// Unknown addresses are ignored.
     pub fn note_kind(&mut self, address: Address, kind: AccountKind) {
         if kind.is_contract() {
-            self.kinds.insert(address, AccountKind::Contract);
+            if let Some(id) = self.id_of(address) {
+                self.kinds[id] = AccountKind::Contract;
+            }
         }
     }
 
@@ -150,39 +177,35 @@ impl ShardedState {
     ///
     /// Panics if either endpoint is unassigned.
     pub fn record_edge(&mut self, u: Address, v: Address, w: u64) {
-        let su = self.assignment[&u];
-        self.add_activity(u, w);
+        let iu = self.id_of(u).expect("edge source must be assigned");
+        self.add_activity(iu, w);
         if u == v {
             return;
         }
-        let sv = self.assignment[&v];
-        self.add_activity(v, w);
+        let iv = self.id_of(v).expect("edge target must be assigned");
+        self.add_activity(iv, w);
 
-        let existing = self.adj.get(&u).and_then(|m| m.get(&v)).copied();
-        let cut = su != sv;
-        match existing {
-            Some(_) => {
-                if cut {
-                    self.cut_weight += w;
-                }
-            }
-            None => {
+        let cut = self.shard[iu] != self.shard[iv];
+        match self.adj[iu].entry(iv as u32) {
+            Entry::Occupied(mut weight) => *weight.get_mut() += w,
+            Entry::Vacant(slot) => {
+                slot.insert(w);
                 self.total_edges += 1;
                 if cut {
                     self.cut_edges += 1;
-                    self.cut_weight += w;
                 }
             }
         }
+        if cut {
+            self.cut_weight += w;
+        }
         self.total_weight += w;
-        *self.adj.entry(u).or_default().entry(v).or_insert(0) += w;
-        *self.adj.entry(v).or_default().entry(u).or_insert(0) += w;
+        *self.adj[iv].entry(iu as u32).or_insert(0) += w;
     }
 
-    fn add_activity(&mut self, a: Address, w: u64) {
-        *self.activity.entry(a).or_insert(0) += w;
-        let s = self.assignment[&a];
-        self.shard_activity[s.as_usize()] += w;
+    fn add_activity(&mut self, id: usize, w: u64) {
+        self.activity[id] += w;
+        self.shard_activity[self.shard[id].as_usize()] += w;
     }
 
     /// Moves a vertex to `to`, updating cut bookkeeping in O(degree).
@@ -193,32 +216,29 @@ impl ShardedState {
     /// Panics if the vertex is unknown or `to >= k`.
     pub fn move_vertex(&mut self, address: Address, to: ShardId) -> bool {
         assert!(self.k.contains(to), "shard out of range");
-        let from = *self.assignment.get(&address).expect("vertex must exist");
+        let id = self.id_of(address).expect("vertex must exist");
+        let from = self.shard[id];
         if from == to {
             return false;
         }
-        if let Some(neigh) = self.adj.get(&address) {
-            for (&n, &w) in neigh {
-                let sn = self.assignment[&n];
-                let was_cut = sn != from;
-                let is_cut = sn != to;
-                match (was_cut, is_cut) {
-                    (false, true) => {
-                        self.cut_edges += 1;
-                        self.cut_weight += w;
-                    }
-                    (true, false) => {
-                        self.cut_edges -= 1;
-                        self.cut_weight -= w;
-                    }
-                    _ => {}
+        for (&n, &w) in &self.adj[id] {
+            let sn = self.shard[n as usize];
+            match (sn != from, sn != to) {
+                (false, true) => {
+                    self.cut_edges += 1;
+                    self.cut_weight += w;
                 }
+                (true, false) => {
+                    self.cut_edges -= 1;
+                    self.cut_weight -= w;
+                }
+                _ => {}
             }
         }
-        self.assignment.insert(address, to);
+        self.shard[id] = to;
         self.shard_counts[from.as_usize()] -= 1;
         self.shard_counts[to.as_usize()] += 1;
-        let act = self.activity_of(address);
+        let act = self.activity[id];
         self.shard_activity[from.as_usize()] -= act;
         self.shard_activity[to.as_usize()] += act;
         true
@@ -244,22 +264,12 @@ impl ShardedState {
 
     /// Eq. 2 over vertex counts.
     pub fn static_balance(&self) -> f64 {
-        let n: usize = self.shard_counts.iter().sum();
-        if n == 0 {
-            return 1.0;
-        }
-        let max = *self.shard_counts.iter().max().expect("k >= 1");
-        max as f64 * self.k.as_usize() as f64 / n as f64
+        load_balance(self.shard_counts.iter().map(|&c| c as u64))
     }
 
     /// Eq. 2 over cumulative activity.
     pub fn dynamic_balance(&self) -> f64 {
-        let total: u64 = self.shard_activity.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = *self.shard_activity.iter().max().expect("k >= 1");
-        max as f64 * self.k.as_usize() as f64 / total as f64
+        load_balance(self.shard_activity.iter().copied())
     }
 
     /// Builds the cumulative graph as a [`Csr`] (vertices in first-seen
@@ -267,38 +277,14 @@ impl ShardedState {
     /// assignment as a [`Partition`] — everything a
     /// [`Partitioner`](blockpart_partition::Partitioner) request needs.
     pub fn full_graph(&self) -> (Csr, Vec<Address>, Vec<u64>, Partition) {
-        let n = self.order.len();
-        let index: HashMap<Address, u32> = self
-            .order
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, i as u32))
-            .collect();
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        let mut vwgt = Vec::with_capacity(n);
-        xadj.push(0);
-        for &a in &self.order {
-            if let Some(neigh) = self.adj.get(&a) {
-                let mut row: Vec<(u32, u64)> =
-                    neigh.iter().map(|(&t, &w)| (index[&t], w)).collect();
-                row.sort_unstable_by_key(|&(t, _)| t);
-                for (t, w) in row {
-                    adjncy.push(t);
-                    adjwgt.push(w);
-                }
-            }
-            xadj.push(adjncy.len());
-            vwgt.push(self.activity_of(a).max(1));
+        let mut half_edges = Vec::with_capacity(2 * self.total_edges);
+        for (u, row) in self.adj.iter().enumerate() {
+            half_edges.extend(row.iter().map(|(&v, &w)| (u as u32, v, w)));
         }
-        let csr = Csr::from_parts(xadj, adjncy, adjwgt, vwgt);
+        let vwgt = self.activity.iter().map(|&a| a.max(1)).collect();
+        let csr = Csr::from_half_edges(vwgt, half_edges);
         let ids: Vec<u64> = self.order.iter().map(|a| a.stable_hash()).collect();
-        let assignment: Vec<u16> = self
-            .order
-            .iter()
-            .map(|a| self.assignment[a].as_u16())
-            .collect();
+        let assignment = self.shard.iter().map(|s| s.as_u16()).collect();
         let partition =
             Partition::from_assignment(assignment, self.k).expect("assignment within k");
         (csr, self.order.clone(), ids, partition)
@@ -307,7 +293,11 @@ impl ShardedState {
     /// A snapshot of the full vertex→shard assignment — the handoff from
     /// the partitioning simulator to the sharded execution runtime.
     pub fn assignment_map(&self) -> HashMap<Address, ShardId> {
-        self.assignment.clone()
+        self.order
+            .iter()
+            .copied()
+            .zip(self.shard.iter().copied())
+            .collect()
     }
 
     /// The current assignment of `addresses` as a [`Partition`] (vertices
@@ -319,7 +309,7 @@ impl ShardedState {
     pub fn partition_of(&self, addresses: &[Address]) -> Partition {
         let assignment: Vec<u16> = addresses
             .iter()
-            .map(|a| self.assignment[a].as_u16())
+            .map(|&a| self.shard_of(a).expect("address is assigned").as_u16())
             .collect();
         Partition::from_assignment(assignment, self.k).expect("assignment within k")
     }

@@ -11,10 +11,87 @@
 
 use std::collections::VecDeque;
 
-use blockpart_graph::{GraphBuilder, Interaction};
+use blockpart_graph::{Csr, GraphBuilder, Interaction};
 use blockpart_types::{Address, Duration, ShardCount, ShardId, Timestamp};
 
-use crate::state::activity_balance;
+use crate::state::load_balance;
+
+/// Assembles the reduced graph every windowed repartition partitions,
+/// offline ([`ShardSimulator`](crate::ShardSimulator) under
+/// `RepartitionScope::Window`) and live ([`WindowedGraph::build`]).
+///
+/// Each interaction's weight is scaled by its multiplier (1 offline, the
+/// decay factor live). Returns the [`Csr`] with the address of every
+/// vertex, in first-touch order, and its stable id; `None` when there
+/// are no interactions.
+pub(crate) fn reduced_graph<'a>(
+    events: impl IntoIterator<Item = (&'a Interaction, u64)>,
+) -> Option<(Csr, Vec<Address>, Vec<u64>)> {
+    let mut builder = GraphBuilder::new();
+    for (e, multiplier) in events {
+        builder.add_interaction(e.from, e.to, e.weight * multiplier);
+    }
+    let graph = builder.build();
+    if graph.is_empty() {
+        return None;
+    }
+    let order: Vec<Address> = graph.nodes().map(|n| n.address).collect();
+    let ids = order.iter().map(|a| a.stable_hash()).collect();
+    Some((graph.to_csr(), order, ids))
+}
+
+/// The traffic of one measurement window under some assignment: the
+/// per-window dynamic edge-cut and activity balance that the paper plots
+/// and that a threshold trigger compares against its thresholds.
+#[derive(Default)]
+pub(crate) struct WindowAccum {
+    pub(crate) events: usize,
+    cut_weight: u64,
+    total_weight: u64,
+    shard_activity: Vec<u64>,
+}
+
+impl WindowAccum {
+    pub(crate) fn new(k: ShardCount) -> Self {
+        WindowAccum {
+            shard_activity: vec![0; k.as_usize()],
+            ..WindowAccum::default()
+        }
+    }
+
+    /// Adds one interaction of weight `w` between endpoints on shards
+    /// `su` and `sv`; a self-interaction adds activity only.
+    pub(crate) fn add(&mut self, su: ShardId, sv: ShardId, self_loop: bool, w: u64) {
+        self.events += 1;
+        self.shard_activity[su.as_usize()] += w;
+        if !self_loop {
+            self.shard_activity[sv.as_usize()] += w;
+            self.total_weight += w;
+            if su != sv {
+                self.cut_weight += w;
+            }
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.events = 0;
+        self.cut_weight = 0;
+        self.total_weight = 0;
+        self.shard_activity.iter_mut().for_each(|a| *a = 0);
+    }
+
+    pub(crate) fn dynamic_edge_cut(&self) -> f64 {
+        if self.total_weight == 0 {
+            0.0
+        } else {
+            self.cut_weight as f64 / self.total_weight as f64
+        }
+    }
+
+    pub(crate) fn dynamic_balance(&self) -> f64 {
+        load_balance(self.shard_activity.iter().copied())
+    }
+}
 
 /// A sliding multi-window buffer of interactions with per-window decay.
 ///
@@ -104,27 +181,15 @@ impl WindowedGraph {
     /// Builds the decayed reduced graph: CSR plus the address of every
     /// vertex (in deterministic first-touch order) and its stable id.
     /// Returns `None` when the buffer holds no events.
-    pub fn build(&self) -> Option<(blockpart_graph::Csr, Vec<Address>, Vec<u64>)> {
-        if self.event_count() == 0 {
-            return None;
-        }
-        let newest = self.buckets.back().expect("non-empty").0;
-        let mut builder = GraphBuilder::new();
-        for (start, bucket) in &self.buckets {
+    pub fn build(&self) -> Option<(Csr, Vec<Address>, Vec<u64>)> {
+        let newest = self.buckets.back()?.0;
+        reduced_graph(self.buckets.iter().flat_map(|(start, bucket)| {
             // linear decay: a window `age` windows old contributes
             // weight × (depth − age)
             let age = (newest.since(*start).as_secs() / self.window.as_secs()) as usize;
             let decay = (self.depth.saturating_sub(age)).max(1) as u64;
-            for e in bucket {
-                builder.touch(e.from, e.from_kind);
-                builder.touch(e.to, e.to_kind);
-                builder.add_interaction(e.from, e.to, e.weight * decay);
-            }
-        }
-        let graph = builder.build();
-        let order: Vec<Address> = graph.nodes().map(|n| n.address).collect();
-        let ids: Vec<u64> = order.iter().map(|a| a.stable_hash()).collect();
-        Some((graph.to_csr(), order, ids))
+            bucket.iter().map(move |e| (e, decay))
+        }))
     }
 
     /// Dynamic edge-cut and activity balance of the newest window's
@@ -136,29 +201,11 @@ impl WindowedGraph {
         k: ShardCount,
         shard_of: impl Fn(Address) -> ShardId,
     ) -> (f64, f64) {
-        let Some((_, bucket)) = self.buckets.back() else {
-            return (0.0, 1.0);
-        };
-        let mut cut = 0u64;
-        let mut total = 0u64;
-        let mut activity = vec![0u64; k.as_usize()];
-        for e in bucket {
-            let (su, sv) = (shard_of(e.from), shard_of(e.to));
-            activity[su.as_usize()] += e.weight;
-            if e.from != e.to {
-                activity[sv.as_usize()] += e.weight;
-                total += e.weight;
-                if su != sv {
-                    cut += e.weight;
-                }
-            }
+        let mut accum = WindowAccum::new(k);
+        for e in self.buckets.back().map_or(&[][..], |(_, bucket)| bucket) {
+            accum.add(shard_of(e.from), shard_of(e.to), e.from == e.to, e.weight);
         }
-        let cut_frac = if total == 0 {
-            0.0
-        } else {
-            cut as f64 / total as f64
-        };
-        (cut_frac, activity_balance(&activity))
+        (accum.dynamic_edge_cut(), accum.dynamic_balance())
     }
 }
 

@@ -137,8 +137,20 @@ impl fmt::Display for AccountKind {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
-pub(crate) fn mix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer, shared by
+/// address derivation, hash partitioning and the runtime's jitter and
+/// entropy so ids that are already hashes and raw dense indices both
+/// spread well.
+///
+/// # Examples
+///
+/// ```
+/// use blockpart_types::mix64;
+///
+/// assert_ne!(mix64(0), mix64(1));
+/// assert_eq!(mix64(7), mix64(7));
+/// ```
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -8,7 +8,9 @@
 //! * [`Timestamp`] / [`Duration`] — simulated wall-clock time in seconds;
 //! * [`BlockNumber`], [`Wei`], [`Gas`] — chain quantities;
 //! * [`FastMap`] — a `HashMap` with the deterministic [`FxHasher`], for
-//!   the runtime's state path.
+//!   the runtime's state path;
+//! * [`mix64`] — the SplitMix64 finalizer behind address derivation,
+//!   hash placement and the runtime's jitter.
 //!
 //! # Examples
 //!
@@ -34,7 +36,7 @@ mod shard;
 mod storage;
 mod time;
 
-pub use address::{AccountKind, Address};
+pub use address::{mix64, AccountKind, Address};
 pub use hash::{FastMap, FxHasher};
 pub use parallelism::resolve_workers;
 pub use quantity::{BlockNumber, Gas, Wei};

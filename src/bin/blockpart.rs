@@ -456,16 +456,17 @@ fn cmd_generate(
 ) -> Result<(), String> {
     let scenario = scenario_of(scenarios, opts)?;
     let storage = storage_of(opts)?;
+    let scale = scale_of(opts)?;
+    let seed = seed_of(opts)?;
     let default_out = "trace.txt".to_string();
     let out = opts.get("out").unwrap_or(&default_out);
+    // every option is valid by now: a rejected one must not truncate `out`
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     // The plain generator can stream block-by-block through an on-disk
     // segment store, so the full log is never in memory (`storage_of`
     // refuses a spill with a scenario, whose injectors need the resident
     // chain).
     if let Some(root) = storage.spill_dir() {
-        let scale = scale_of(opts)?;
-        let seed = seed_of(opts)?;
         eprintln!("generating 30-month history (scale {scale}, seed {seed}, {storage})...");
         let session = SpillSession::create(root).map_err(|e| format!("spill session: {e}"))?;
         let io = |e| format!("segment store: {e}");
@@ -715,19 +716,13 @@ fn cmd_live(
     let chain = generate(opts, scenario.as_ref())?;
 
     // the strategy's own trigger/scope settings drive the live loop
-    let sim_cfg = spec.simulator_config(k);
-    let depth = (sim_cfg.scope_window.as_secs() / window.as_secs()).max(1) as usize;
     let mut runtime_cfg = spec
         .runtime_config(k)
         .with_seed(seed)
         .with_net_latency_us(latency_us)
         .with_inter_arrival_us(arrival_us);
     runtime_cfg.k = k;
-    let cfg = LiveConfig::new(k)
-        .with_window(window)
-        .with_depth(depth)
-        .with_policy(sim_cfg.policy)
-        .with_runtime(runtime_cfg)
+    let cfg = LiveConfig::for_strategy(&spec.simulator_config(k), window, runtime_cfg)
         .with_tracing(opts.contains_key("trace"))
         .with_label(spec.name());
     eprintln!(
@@ -735,7 +730,7 @@ fn cmd_live(
         spec.name(),
         k.get(),
         window_hours,
-        depth
+        cfg.depth
     );
     let mut runner = LiveRunner::new(cfg, spec.build_partitioner(seed));
     let run = runner.run(chain.chain.world(), &chain.txs);

@@ -8,6 +8,9 @@
 //! count (each once panicked, ran out of memory or was silently wrong).
 //! And the reports are the same bytes at any `BLOCKPART_THREADS`.
 //!
+//! A rejected `generate` option leaves an existing `--out` file as it
+//! was (it was once truncated before `--scale` and `--seed` were read).
+//!
 //! `--spill-dir` streams `generate` and `study` through an on-disk
 //! segment store: the output keeps its bytes and the directory is left
 //! empty. An unusable directory, or one given with `--scenario`, is an
@@ -56,6 +59,23 @@ fn out_of_range_scale_is_rejected_before_generation() {
             );
         }
     }
+}
+
+#[test]
+fn rejected_generate_options_keep_the_out_file() {
+    let out = format!("{}/cli-keep-out.txt", env!("CARGO_TARGET_TMPDIR"));
+    for bad in [["--scale", "5"], ["--seed", "x"]] {
+        std::fs::write(&out, b"precious\n").unwrap();
+        let output = blockpart(&[&["generate", "--out", &out][..], &bad].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{bad:?}: {stderr}");
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            b"precious\n",
+            "{bad:?} truncated --out"
+        );
+    }
+    std::fs::remove_file(&out).unwrap();
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Integration tests for the extensions beyond the paper: cost models,
-//! streaming partitioners, concentration metrics and the mempool.
+//! streaming partitioners, concentration metrics and gas-schedule forks.
 
 use blockpart::core::ablation::offline_partitioner_comparison;
 use blockpart::core::{Experiment, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
-use blockpart::ethereum::{Transaction, TxPayload, TxPool};
+use blockpart::ethereum::{Transaction, TxPayload};
 use blockpart::metrics::{gini, top_share, LogHistogram};
 use blockpart::shard::{CostModel, CrossShardMode};
-use blockpart::types::{Address, Gas, ShardCount, Wei};
+use blockpart::types::{Gas, ShardCount, Wei};
 
 fn history() -> &'static blockpart::ethereum::SyntheticChain {
     static H: std::sync::OnceLock<blockpart::ethereum::SyntheticChain> = std::sync::OnceLock::new();
@@ -112,46 +112,6 @@ fn activity_is_heavy_tailed_by_every_measure() {
         hist.max() > (hist.mean() as u64) * 20,
         "no hubs in histogram"
     );
-}
-
-#[test]
-fn mempool_feeds_chain_blocks() {
-    let mut chain = blockpart::ethereum::Chain::new(5);
-    let mut log = blockpart::graph::InteractionLog::new();
-    let users: Vec<Address> = (0..10)
-        .map(|_| chain.world_mut().new_user(Wei::new(1_000_000)))
-        .collect();
-
-    let mut pool = TxPool::new();
-    for (i, &u) in users.iter().enumerate() {
-        pool.submit(
-            Transaction {
-                from: u,
-                to: users[(i + 1) % users.len()],
-                value: Wei::new(10),
-                gas_limit: Gas::new(21_000),
-                payload: TxPayload::Transfer,
-            },
-            Wei::new(1 + i as u64), // later users bid more
-        );
-    }
-    // block gas limit fits 4 transfers: the 4 best-paying get in
-    let block_txs = pool.draft_block(Gas::new(4 * 21_000));
-    assert_eq!(block_txs.len(), 4);
-    assert_eq!(pool.len(), 6);
-    let summary = chain.apply_block(
-        blockpart::types::Timestamp::from_secs(15),
-        block_txs,
-        &mut log,
-    );
-    assert_eq!(summary.tx_count, 4);
-    assert_eq!(summary.failed, 0);
-    assert_eq!(log.len(), 4);
-    // the included senders are the highest bidders (users 6..9)
-    for e in log.events() {
-        let idx = users.iter().position(|&u| u == e.from).expect("known");
-        assert!(idx >= 6, "low bidder {idx} included");
-    }
 }
 
 #[test]

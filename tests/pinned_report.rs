@@ -105,15 +105,12 @@ fn live_trace_is_pinned() {
     let spec = StrategyRegistry::with_builtins()
         .resolve("tr-metis[interval=1]")
         .expect("built-in strategy resolves");
-    let window = Duration::hours(4);
-    let sim_cfg = spec.simulator_config(k(2));
-    let depth = (sim_cfg.scope_window.as_secs() / window.as_secs()).max(1) as usize;
-    let cfg = LiveConfig::new(k(2))
-        .with_window(window)
-        .with_depth(depth)
-        .with_policy(sim_cfg.policy)
-        .with_runtime(spec.runtime_config(k(2)).with_seed(23))
-        .with_tracing(true);
+    let cfg = LiveConfig::for_strategy(
+        &spec.simulator_config(k(2)),
+        Duration::hours(4),
+        spec.runtime_config(k(2)).with_seed(23),
+    )
+    .with_tracing(true);
     let chain = chain();
     let run = LiveRunner::new(cfg, spec.build_partitioner(23)).run(chain.chain.world(), &chain.txs);
     // paced migration arrivals are part of what the pin covers

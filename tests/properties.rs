@@ -1,12 +1,15 @@
 //! Property-based tests (proptest) over the core data structures and
 //! partitioning invariants.
 
+use std::collections::BTreeMap;
+
 use blockpart::graph::{Csr, GraphBuilder, Interaction, InteractionLog};
 use blockpart::partition::{
     CutMetrics, DistributedKl, HashPartitioner, MultilevelConfig, MultilevelPartitioner, Partition,
     PartitionRequest, Partitioner,
 };
-use blockpart::types::{Address, ShardCount, Timestamp};
+use blockpart::shard::ShardedState;
+use blockpart::types::{AccountKind, Address, ShardCount, ShardId, Timestamp};
 use proptest::prelude::*;
 
 /// Random undirected edge lists over up to 64 vertices.
@@ -19,8 +22,126 @@ fn edges_strategy(max_nodes: u32) -> impl Strategy<Value = (usize, Vec<(u32, u32
     })
 }
 
+/// Random directed edge lists over few vertices, so parallel and
+/// reversed pairs are common; zero weights included.
+fn directed_edges() -> impl Strategy<Value = (usize, Vec<(u32, u32, u64)>)> {
+    (2..=16u32).prop_flat_map(|n| {
+        let edge = (0..n, 0..n, 0..20u64).prop_filter("no self-loops", |(u, v, _)| u != v);
+        (Just(n as usize), proptest::collection::vec(edge, 0..120))
+    })
+}
+
+/// The reference symmetrization: one ordered map per row, each directed
+/// edge adding its weight to both endpoint rows.
+fn reference_csr(vwgt: Vec<u64>, directed: impl IntoIterator<Item = (u32, u32, u64)>) -> Csr {
+    let mut rows: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); vwgt.len()];
+    for (u, v, w) in directed {
+        *rows[u as usize].entry(v).or_insert(0) += w;
+        *rows[v as usize].entry(u).or_insert(0) += w;
+    }
+    let mut xadj = vec![0];
+    let (mut adjncy, mut adjwgt) = (Vec::new(), Vec::new());
+    for row in rows {
+        for (t, w) in row {
+            adjncy.push(t);
+            adjwgt.push(w);
+        }
+        xadj.push(adjncy.len());
+    }
+    Csr::from_parts(xadj, adjncy, adjwgt, vwgt)
+}
+
+/// Random `ShardedState` histories over 12 addresses: `(op, a, b, shard,
+/// weight)` where op 0 inserts `a`, op 1 records an edge `a`–`b`
+/// (inserting missing endpoints; `a == b` is a self-loop) and op 2 moves
+/// `a`.
+fn state_ops() -> impl Strategy<Value = Vec<(u16, u64, u64, u16, u64)>> {
+    proptest::collection::vec((0..3u16, 0..12u64, 0..12u64, 0..4u16, 1..20u64), 0..150)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn csr_constructors_match_reference_symmetrization(
+        (n, edges) in directed_edges(),
+        idle in 0..4u64,
+    ) {
+        // parallel and reversed copies of a prefix, on top of the chance ones
+        let mut edges = edges;
+        let extra: Vec<_> = edges.iter().take(8).flat_map(|&(u, v, w)| [(u, v, w), (v, u, w + 1)]).collect();
+        edges.extend(extra);
+
+        let from_edges = Csr::from_edges(n, &edges);
+        prop_assert_eq!(&from_edges, &reference_csr(vec![1; n], edges.iter().copied()));
+
+        let mut b = GraphBuilder::new();
+        for &(u, v, w) in &edges {
+            b.add_interaction(Address::from_index(u as u64), Address::from_index(v as u64), w);
+        }
+        // vertices without activity get weight 1
+        for i in 0..idle {
+            b.touch(Address::from_index(100 + i), AccountKind::ExternallyOwned);
+        }
+        let g = b.build();
+        let vwgt = g.nodes().map(|v| v.weight.max(1)).collect();
+        let directed = g.edges().map(|e| (e.source.as_u32(), e.target.as_u32(), e.weight));
+        prop_assert_eq!(&g.to_csr(), &reference_csr(vwgt, directed));
+    }
+
+    #[test]
+    fn sharded_state_bookkeeping_matches_its_full_graph(
+        ops in state_ops(),
+        kk in 1u16..=4,
+    ) {
+        let k = ShardCount::new(kk).unwrap();
+        let mut st = ShardedState::new(k);
+        let addr = Address::from_index;
+        for (op, a, b, shard, w) in ops {
+            let shard = ShardId::new(shard % kk);
+            let ensure = |st: &mut ShardedState, x: u64| {
+                if !st.contains(addr(x)) {
+                    st.insert_vertex(addr(x), AccountKind::ExternallyOwned, shard);
+                }
+            };
+            match op {
+                0 => ensure(&mut st, a),
+                1 => {
+                    ensure(&mut st, a);
+                    ensure(&mut st, b);
+                    st.record_edge(addr(a), addr(b), w);
+                }
+                _ => {
+                    if st.contains(addr(a)) {
+                        st.move_vertex(addr(a), shard);
+                    }
+                }
+            }
+        }
+        // `full_graph` weighs an idle vertex 1: a self-loop gives each
+        // one activity, so the dynamic balances compare too
+        for i in 0..12 {
+            if st.contains(addr(i)) && st.activity_of(addr(i)) == 0 {
+                st.record_edge(addr(i), addr(i), 1);
+            }
+        }
+
+        let (csr, order, _ids, part) = st.full_graph();
+        prop_assert!(csr.validate().is_ok());
+        prop_assert_eq!(csr.edge_count(), st.edge_count());
+        let m = CutMetrics::compute(&csr, &part);
+        prop_assert_eq!(m.static_edge_cut, st.static_edge_cut());
+        prop_assert_eq!(m.dynamic_edge_cut, st.dynamic_edge_cut());
+        prop_assert_eq!(m.static_balance, st.static_balance());
+        prop_assert_eq!(m.dynamic_balance, st.dynamic_balance());
+
+        let map = st.assignment_map();
+        prop_assert_eq!(map.len(), st.vertex_count());
+        for (i, &a) in order.iter().enumerate() {
+            prop_assert_eq!(st.shard_of(a), Some(part.shard_of(i)));
+            prop_assert_eq!(map.get(&a).copied(), st.shard_of(a));
+        }
+    }
 
     #[test]
     fn csr_from_edges_is_always_valid((n, edges) in edges_strategy(64)) {
