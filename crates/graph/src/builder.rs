@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use blockpart_types::{AccountKind, Address};
 
+use crate::csr::merge_rows;
 use crate::graph::Graph;
 use crate::node::NodeId;
 
@@ -14,6 +15,10 @@ use crate::node::NodeId;
 /// is exactly "how many times this interaction happened". Vertex weights
 /// accumulate *activity* (by default, one unit per interaction endpoint;
 /// callers may add extra weight, e.g. gas consumed).
+///
+/// Interactions are kept as one flat list of directed `(source, target,
+/// weight)` records; [`build`](Self::build) sorts it and merges the
+/// parallel edges, so no per-vertex map is ever allocated.
 ///
 /// # Examples
 ///
@@ -31,13 +36,13 @@ use crate::node::NodeId;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
+    /// Keeps SipHash: addresses can come from a trace file.
     index: HashMap<Address, NodeId>,
     addresses: Vec<Address>,
     kinds: Vec<AccountKind>,
     weights: Vec<u64>,
-    /// Per-source adjacency: target -> accumulated weight.
-    adjacency: Vec<HashMap<NodeId, u64>>,
-    edge_count: usize,
+    /// Every recorded interaction between distinct vertices, unmerged.
+    edges: Vec<(u32, u32, u64)>,
     total_edge_weight: u64,
 }
 
@@ -54,8 +59,7 @@ impl GraphBuilder {
             addresses: Vec::with_capacity(nodes),
             kinds: Vec::with_capacity(nodes),
             weights: Vec::with_capacity(nodes),
-            adjacency: Vec::with_capacity(nodes),
-            edge_count: 0,
+            edges: Vec::new(),
             total_edge_weight: 0,
         }
     }
@@ -63,11 +67,6 @@ impl GraphBuilder {
     /// Number of interned vertices so far.
     pub fn node_count(&self) -> usize {
         self.addresses.len()
-    }
-
-    /// Number of distinct directed edges so far.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
     }
 
     /// Interns `address`, marking it as `kind`, and returns its node id.
@@ -104,47 +103,35 @@ impl GraphBuilder {
     pub fn add_interaction(&mut self, from: Address, to: Address, count: u64) {
         let u = self.intern(from);
         let v = self.intern(to);
+        self.add_edge(u, v, count);
+    }
+
+    /// [`add_interaction`](Self::add_interaction) between interned ids.
+    pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId, count: u64) {
         self.weights[u.index()] += count;
         if u == v {
             return;
         }
         self.weights[v.index()] += count;
-        let slot = self.adjacency[u.index()].entry(v);
-        match slot {
-            std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += count,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(count);
-                self.edge_count += 1;
-            }
-        }
+        self.edges.push((u.as_u32(), v.as_u32(), count));
         self.total_edge_weight += count;
     }
 
     /// Freezes the builder into an immutable [`Graph`].
     ///
-    /// Adjacency lists are sorted by target id so iteration order is
-    /// deterministic regardless of hash-map insertion order.
+    /// Sorts the interaction records by `(source, target)` and sums each
+    /// run of equal pairs into one edge, as [`Csr::from_half_edges`]
+    /// does, so every adjacency list comes out sorted by target id.
+    ///
+    /// [`Csr::from_half_edges`]: crate::Csr::from_half_edges
     pub fn build(self) -> Graph {
-        let n = self.addresses.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.edge_count);
-        let mut edge_weights = Vec::with_capacity(self.edge_count);
-        offsets.push(0usize);
-        for adj in &self.adjacency {
-            let mut row: Vec<(NodeId, u64)> = adj.iter().map(|(&t, &w)| (t, w)).collect();
-            row.sort_unstable_by_key(|&(t, _)| t);
-            for (t, w) in row {
-                targets.push(t);
-                edge_weights.push(w);
-            }
-            offsets.push(targets.len());
-        }
+        let (offsets, targets, edge_weights) = merge_rows(self.addresses.len(), self.edges);
         Graph::from_parts(
             self.addresses,
             self.kinds,
             self.weights,
             offsets,
-            targets,
+            targets.into_iter().map(NodeId::new).collect(),
             edge_weights,
             self.total_edge_weight,
             self.index,
@@ -162,7 +149,6 @@ impl GraphBuilder {
         self.addresses.push(address);
         self.kinds.push(AccountKind::ExternallyOwned);
         self.weights.push(0);
-        self.adjacency.push(HashMap::new());
         id
     }
 }
@@ -207,7 +193,6 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_interaction(addr(0), addr(1), 1);
         b.add_interaction(addr(0), addr(1), 4);
-        assert_eq!(b.edge_count(), 1);
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.total_edge_weight(), 5);

@@ -84,24 +84,8 @@ impl Csr {
     /// assert_eq!(csr.total_edge_weight(), 5);
     /// assert_eq!(csr.total_vertex_weight(), 5);
     /// ```
-    pub fn from_half_edges(vwgt: Vec<u64>, mut half_edges: Vec<(u32, u32, u64)>) -> Self {
-        half_edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        half_edges.dedup_by(|next, kept| {
-            let same = (next.0, next.1) == (kept.0, kept.1);
-            if same {
-                kept.2 += next.2;
-            }
-            same
-        });
-        let mut xadj = vec![0usize; vwgt.len() + 1];
-        for &(u, _, _) in &half_edges {
-            xadj[u as usize + 1] += 1;
-        }
-        for v in 0..vwgt.len() {
-            xadj[v + 1] += xadj[v];
-        }
-        let adjncy = half_edges.iter().map(|&(_, v, _)| v).collect();
-        let adjwgt = half_edges.iter().map(|&(_, _, w)| w).collect();
+    pub fn from_half_edges(vwgt: Vec<u64>, half_edges: Vec<(u32, u32, u64)>) -> Self {
+        let (xadj, adjncy, adjwgt) = merge_rows(vwgt.len(), half_edges);
         Csr::from_parts(xadj, adjncy, adjwgt, vwgt)
     }
 
@@ -243,6 +227,39 @@ impl Csr {
         }
         Ok(())
     }
+}
+
+/// Sorts directed `(source, target, weight)` records by `(source,
+/// target)`, sums the weights of equal pairs and returns the rows of `n`
+/// sources as offsets, targets and weights: the merge behind
+/// [`Csr::from_half_edges`] and
+/// [`GraphBuilder::build`](crate::GraphBuilder::build).
+///
+/// # Panics
+///
+/// Panics if a record's source is `>= n`.
+pub(crate) fn merge_rows(
+    n: usize,
+    mut records: Vec<(u32, u32, u64)>,
+) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+    records.sort_unstable_by_key(|&(u, v, _)| (u, v));
+    records.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
+        }
+        same
+    });
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, _, _) in &records {
+        offsets[u as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let targets = records.iter().map(|&(_, v, _)| v).collect();
+    let weights = records.iter().map(|&(_, _, w)| w).collect();
+    (offsets, targets, weights)
 }
 
 impl fmt::Display for Csr {

@@ -153,9 +153,9 @@ impl InteractionLog {
     pub fn graph_of(events: &[Interaction]) -> Graph {
         let mut b = GraphBuilder::new();
         for e in events {
-            b.touch(e.from, e.from_kind);
-            b.touch(e.to, e.to_kind);
-            b.add_interaction(e.from, e.to, e.weight);
+            let u = b.touch(e.from, e.from_kind);
+            let v = b.touch(e.to, e.to_kind);
+            b.add_edge(u, v, e.weight);
         }
         b.build()
     }

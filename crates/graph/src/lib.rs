@@ -25,7 +25,8 @@
 //! view, [`Graph::to_csr`] and [`Csr::from_edges`] included, comes out of
 //! one constructor, [`Csr::from_half_edges`]: it sorts a flat list of
 //! half-edges by `(u, v)`, sums duplicates and emits the rows, with no
-//! per-row map.
+//! per-row map. [`GraphBuilder::build`] merges its directed interaction
+//! records the same way.
 //!
 //! # Examples
 //!

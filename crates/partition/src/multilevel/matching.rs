@@ -13,13 +13,21 @@ use blockpart_graph::Csr;
 /// Matching each vertex with its heaviest unmatched neighbour hides
 /// heavy edges inside coarse vertices so they can never be cut, which is
 /// what drives the partitioner's low dynamic edge-cut. It runs
-/// *handshake rounds*: every unmatched vertex computes its preferred
-/// unmatched neighbour — heaviest edge, ties to the smallest id — then
-/// pairs whose preferences are mutual are matched. Rounds stop at a
-/// fixed cap or when one yields no mutual pair; whatever remains
-/// (preference cycles, cap leftovers) is matched by a single greedy
-/// sweep in index order using the same selection rule. The matching
-/// draws no randomness.
+/// *handshake rounds*: every unmatched vertex prefers its heaviest
+/// unmatched neighbour — ties to the smallest id — and pairs whose
+/// preferences are mutual are matched. Rounds stop at a fixed cap or
+/// when one yields no mutual pair; whatever remains (preference cycles,
+/// cap leftovers) is matched by a single greedy sweep in index order
+/// using the same selection rule. The matching draws no randomness.
+///
+/// Preferences are computed once per call and then kept up to date
+/// incrementally. The unmatched set only shrinks, so a preferred
+/// neighbour that is still unmatched is still the heaviest one; a round
+/// recomputes only the vertices whose preferred neighbour got matched.
+/// Rounds walk a worklist of the unmatched vertices that still have an
+/// unmatched neighbour. Mutual pairs are disjoint, so the walk order
+/// does not change which pairs a round matches, and the result equals
+/// that of recomputing every preference every round.
 ///
 /// # Examples
 ///
@@ -62,9 +70,12 @@ pub fn match_vertices(csr: &Csr) -> Vec<u32> {
 }
 
 /// Handshake rounds before falling back to one sequential greedy sweep.
-/// Real graphs converge in a handful of rounds; the cap bounds
-/// adversarial shapes (e.g. a path with monotone weights resolves one
-/// pair per round) to O(rounds · E) instead of O(V · E).
+/// Real graphs converge in a handful of rounds (7.7 per level on the
+/// benchmark's `study-metis` chains). The cap bounds adversarial shapes,
+/// such as a path with monotone weights that resolves one pair per
+/// round: every round walks the remaining worklist, so the rounds cost
+/// O(rounds · V) plus one preference scan, O(degree), per vertex whose
+/// preferred neighbour got matched.
 const MAX_HANDSHAKE_ROUNDS: usize = 16;
 
 /// Runs deterministic heavy-edge handshake rounds, then matches whatever
@@ -72,31 +83,46 @@ const MAX_HANDSHAKE_ROUNDS: usize = 16;
 /// greedy sweep in index order.
 fn handshake_rounds(csr: &Csr, mate: &mut [u32], matched: &mut [bool]) {
     let n = csr.node_count();
+    // `candidate[v]` is `v`'s preferred neighbour while `v` is on the
+    // worklist: every unmatched vertex with an unmatched neighbour
     let mut candidate = vec![u32::MAX; n];
-    for _ in 0..MAX_HANDSHAKE_ROUNDS {
-        // every preference is computed from the round's start state
-        for (v, slot) in candidate.iter_mut().enumerate() {
-            *slot = if matched[v] {
-                u32::MAX
-            } else {
-                heaviest_free(csr, matched, v).unwrap_or(u32::MAX)
-            };
+    let mut worklist: Vec<u32> = Vec::with_capacity(n);
+    for (v, slot) in candidate.iter_mut().enumerate() {
+        if let Some(u) = heaviest_free(csr, matched, v) {
+            *slot = u;
+            worklist.push(v as u32);
         }
+    }
+    for _ in 0..MAX_HANDSHAKE_ROUNDS {
         let mut progress = false;
-        for v in 0..n {
-            if matched[v] || candidate[v] == u32::MAX {
-                continue;
-            }
-            let u = candidate[v] as usize;
+        for &v in &worklist {
+            let u = candidate[v as usize];
             // mutual preference; `v < u` so each pair matches once
-            if !matched[u] && candidate[u] == v as u32 && v < u {
-                pair(mate, matched, v, u);
+            if candidate[u as usize] == v && v < u {
+                pair(mate, matched, v as usize, u as usize);
                 progress = true;
             }
         }
         if !progress {
             break;
         }
+        // bring the preferences up to date for the next round
+        worklist.retain(|&v| {
+            let v = v as usize;
+            if matched[v] {
+                return false;
+            }
+            if !matched[candidate[v] as usize] {
+                return true;
+            }
+            match heaviest_free(csr, matched, v) {
+                Some(u) => {
+                    candidate[v] = u;
+                    true
+                }
+                None => false,
+            }
+        });
     }
     // Greedy finish: one O(E) pass picking each remaining vertex's best
     // unmatched neighbour by the same (weight, smallest-id) rule.

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use blockpart_graph::Csr;
 use blockpart_partition::Partition;
-use blockpart_types::{AccountKind, Address, ShardCount, ShardId};
+use blockpart_types::{AccountKind, Address, FastMap, ShardCount, ShardId};
 
 /// Eq. 2 balance of per-shard loads (vertex counts or activity): the
 /// most loaded shard's share of the total, normalised so 1.0 is perfect.
@@ -62,8 +62,10 @@ pub struct ShardedState {
     shard: Vec<ShardId>,
     kinds: Vec<AccountKind>,
     activity: Vec<u64>,
-    /// Symmetric adjacency: neighbour id → accumulated edge weight.
-    adj: Vec<HashMap<u32, u64>>,
+    /// Symmetric adjacency: neighbour id → accumulated edge weight. The
+    /// keys are ids the program assigns and every reader sums or sorts a
+    /// row, so the rows use the fast hasher.
+    adj: Vec<FastMap<u32, u64>>,
     shard_counts: Vec<usize>,
     shard_activity: Vec<u64>,
     cut_edges: usize,
@@ -155,7 +157,7 @@ impl ShardedState {
         self.shard.push(shard);
         self.kinds.push(kind);
         self.activity.push(0);
-        self.adj.push(HashMap::new());
+        self.adj.push(FastMap::default());
         self.shard_counts[shard.as_usize()] += 1;
     }
 

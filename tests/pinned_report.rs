@@ -11,8 +11,9 @@
 //! loop's ordering shows up here first.
 //!
 //! The last pin covers the graph layer below the reports: the graph and
-//! CSR of a chain with tens of thousands of interactions, and the LDG and
-//! Fennel partitions of that CSR, which no report above exercises.
+//! CSR of a chain with tens of thousands of interactions, and the LDG,
+//! Fennel and multilevel `kway` partitions of that CSR, which no report
+//! above exercises on a graph that large.
 
 use blockpart::core::{Experiment, ExperimentReport, StrategyRegistry};
 use blockpart::ethereum::gen::{ChainGenerator, GeneratorConfig};
@@ -20,7 +21,9 @@ use blockpart::ethereum::SyntheticChain;
 use blockpart::graph::{Csr, Graph, InteractionLog};
 use blockpart::live::{LiveConfig, LiveRunner};
 use blockpart::obs::{perfetto::to_perfetto, Trace};
-use blockpart::partition::{Fennel, LinearGreedy, Partition, PartitionRequest, Partitioner};
+use blockpart::partition::{
+    kway, Fennel, LinearGreedy, MultilevelConfig, Partition, PartitionRequest, Partitioner,
+};
 use blockpart::runtime::{Assignment, RuntimeConfig, ShardedRuntime};
 use blockpart::types::{Duration, ShardCount};
 
@@ -165,7 +168,8 @@ fn csr_fingerprint(csr: &Csr) -> u64 {
 
 /// A chain of 34,752 interactions: its graph (23,667 directed edges) and
 /// CSR (22,652 undirected edges) are far above the sizes in the report
-/// pins, and LDG and Fennel run on nothing else that is pinned.
+/// pins, LDG and Fennel run on nothing else that is pinned, and `kway`
+/// runs on it at both shard counts with the default configuration.
 #[test]
 fn graph_csr_and_streaming_partitions_are_pinned() {
     let config = GeneratorConfig::demo_scale(7).with_scale(0.0002);
@@ -178,7 +182,7 @@ fn graph_csr_and_streaming_partitions_are_pinned() {
     );
     assert_eq!(graph_fingerprint(&graph), 0xe228_0688_4f4f_2a99);
     assert_eq!(csr_fingerprint(&csr), 0x0247_ba83_5893_e453);
-    // the streaming partitioners' assignments, vertex by vertex
+    // the partitioners' assignments, vertex by vertex
     let req = |shards| PartitionRequest::new(&csr, k(shards));
     let pin = |p: Partition| fnv1a(p.as_slice().iter().flat_map(|s| s.to_le_bytes()));
     let ldg = |shards| pin(LinearGreedy::default().partition(&req(shards)));
@@ -187,4 +191,7 @@ fn graph_csr_and_streaming_partitions_are_pinned() {
     assert_eq!(ldg(4), 0x84c2_af8c_302b_80bf);
     assert_eq!(fennel(2), 0x0201_c33e_3293_ed3c);
     assert_eq!(fennel(4), 0xa771_aa88_d08a_d00d);
+    let metis = |shards| pin(kway(&csr, k(shards), &MultilevelConfig::default()));
+    assert_eq!(metis(2), 0x98f0_a196_7ec7_46e4);
+    assert_eq!(metis(4), 0x334c_427a_9b93_dec5);
 }

@@ -4,12 +4,13 @@
 use std::collections::BTreeMap;
 
 use blockpart::graph::{Csr, GraphBuilder, Interaction, InteractionLog};
+use blockpart::partition::multilevel::matching::match_vertices;
 use blockpart::partition::{
     CutMetrics, DistributedKl, HashPartitioner, MultilevelConfig, MultilevelPartitioner, Partition,
     PartitionRequest, Partitioner,
 };
 use blockpart::shard::ShardedState;
-use blockpart::types::{AccountKind, Address, ShardCount, ShardId, Timestamp};
+use blockpart::types::{mix64, AccountKind, Address, ShardCount, ShardId, Timestamp};
 use proptest::prelude::*;
 
 /// Random undirected edge lists over up to 64 vertices.
@@ -57,6 +58,136 @@ fn reference_csr(vwgt: Vec<u64>, directed: impl IntoIterator<Item = (u32, u32, u
 /// `a`.
 fn state_ops() -> impl Strategy<Value = Vec<(u16, u64, u64, u16, u64)>> {
     proptest::collection::vec((0..3u16, 0..12u64, 0..12u64, 0..4u16, 1..20u64), 0..150)
+}
+
+/// Graphs that stress the handshake rounds, drawn from `seed`:
+/// - shape 0: up to 64 vertices with weights in 1..=3, so preferences tie;
+/// - shape 1: 1–4 hubs with 100–499 leaves each tied to one to three hubs
+///   or to a leaf, which leaves most leaves unmatched after the rounds;
+/// - shape 2: a path of 34–93 vertices under a random labelling whose
+///   weights rise along it, so each round matches one pair and the
+///   rounds hit their cap.
+fn matching_graph() -> impl Strategy<Value = Csr> {
+    (0..3u32, 0..400u32, any::<u64>()).prop_map(|(shape, size, seed)| {
+        let mut draws = 0u64;
+        let mut draw = |bound: u64| {
+            draws += 1;
+            mix64(seed ^ draws) % bound
+        };
+        let mut edges = Vec::new();
+        let n = match shape {
+            0 => {
+                let n = 2 + size % 63;
+                for _ in 0..draw(4 * u64::from(n)) {
+                    let (u, v) = (draw(n.into()) as u32, draw(n.into()) as u32);
+                    if u != v {
+                        edges.push((u, v, 1 + draw(3)));
+                    }
+                }
+                n
+            }
+            1 => {
+                let hubs = 1 + draw(4) as u32;
+                let n = hubs + 100 + size;
+                for a in 0..hubs {
+                    for b in a + 1..hubs {
+                        edges.push((a, b, 1 + draw(5)));
+                    }
+                }
+                for leaf in hubs..n {
+                    for _ in 0..1 + draw(3) {
+                        edges.push((leaf, draw(hubs.into()) as u32, 1 + draw(4)));
+                    }
+                    if draw(8) == 0 {
+                        let other = hubs + draw(u64::from(n - hubs)) as u32;
+                        if other != leaf {
+                            edges.push((leaf, other, 1 + draw(4)));
+                        }
+                    }
+                }
+                n
+            }
+            _ => {
+                let n = 34 + size % 60;
+                let mut label: Vec<u32> = (0..n).collect();
+                label.sort_by_key(|&v| mix64(seed ^ u64::from(v)));
+                for i in 0..n - 1 {
+                    edges.push((label[i as usize], label[i as usize + 1], u64::from(i) + 1));
+                }
+                n
+            }
+        };
+        Csr::from_edges(n as usize, &edges)
+    })
+}
+
+/// The reference for `match_vertices`: every handshake round recomputes
+/// every unmatched vertex's preferred neighbour in full, then the
+/// same greedy finish and two-hop leaf phase run.
+fn reference_matching(csr: &Csr) -> Vec<u32> {
+    const ROUNDS: usize = 16;
+    let n = csr.node_count();
+    let mut mate: Vec<u32> = (0..n as u32).collect();
+    let mut matched = vec![false; n];
+    let heaviest_free = |matched: &[bool], v: usize| {
+        csr.neighbors(v)
+            .filter(|&(u, _)| !matched[u as usize])
+            .max_by_key(|&(u, w)| (w, std::cmp::Reverse(u)))
+            .map(|(u, _)| u as usize)
+    };
+    let pair = |mate: &mut [u32], matched: &mut [bool], a: usize, b: usize| {
+        mate[a] = b as u32;
+        mate[b] = a as u32;
+        matched[a] = true;
+        matched[b] = true;
+    };
+    for _ in 0..ROUNDS {
+        let candidate: Vec<Option<usize>> = (0..n)
+            .map(|v| heaviest_free(&matched, v).filter(|_| !matched[v]))
+            .collect();
+        let mut progress = false;
+        for v in 0..n {
+            if let Some(u) = candidate[v] {
+                if !matched[v] && !matched[u] && candidate[u] == Some(v) && v < u {
+                    pair(&mut mate, &mut matched, v, u);
+                    progress = true;
+                }
+            }
+        }
+        if !progress {
+            break;
+        }
+    }
+    for v in 0..n {
+        if !matched[v] {
+            if let Some(u) = heaviest_free(&matched, v) {
+                pair(&mut mate, &mut matched, v, u);
+            }
+        }
+    }
+    for hub in 0..n {
+        let mut pending = None;
+        for (u, _) in csr.neighbors(hub) {
+            let u = u as usize;
+            if matched[u] || csr.degree(u) > 2 {
+                continue;
+            }
+            match pending.take() {
+                None => pending = Some(u),
+                Some(prev) => pair(&mut mate, &mut matched, prev, u),
+            }
+        }
+    }
+    mate
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(240))]
+
+    #[test]
+    fn handshake_matching_matches_full_recomputation(csr in matching_graph()) {
+        prop_assert_eq!(match_vertices(&csr), reference_matching(&csr));
+    }
 }
 
 proptest! {
