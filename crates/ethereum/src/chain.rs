@@ -6,7 +6,7 @@ use blockpart_types::{BlockNumber, Gas, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{Block, BlockSummary};
-use crate::evm::{ExecContext, GasSchedule, Vm};
+use crate::evm::{ExecContext, GasSchedule, Vm, VmBuffers};
 use crate::state::World;
 use crate::transaction::Transaction;
 
@@ -137,6 +137,9 @@ impl Chain {
         let mut gas_used = Gas::ZERO;
         let mut failed = 0usize;
         let mut receipts = Vec::with_capacity(block.transactions.len());
+        // the block's receipts are kept, so only the operand stacks are
+        // reused across its transactions
+        let mut buffers = VmBuffers::new();
         for (i, tx) in block.transactions.iter().enumerate() {
             let ctx = ExecContext::new(
                 time,
@@ -144,7 +147,7 @@ impl Chain {
                 tx.gas_limit,
             )
             .with_schedule(self.gas_schedule);
-            let receipt = Vm::execute(&mut self.world, tx, &ctx);
+            let receipt = Vm::execute_with(&mut self.world, tx, &ctx, &mut buffers);
             gas_used += receipt.gas_used;
             if !receipt.is_success() {
                 failed += 1;

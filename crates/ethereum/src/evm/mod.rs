@@ -18,4 +18,4 @@ mod vm;
 
 pub use gas::GasSchedule;
 pub use opcode::Op;
-pub use vm::{ExecContext, Vm, VmError, CALL_DEPTH_LIMIT, STACK_LIMIT};
+pub use vm::{ExecContext, Vm, VmBuffers, VmError, CALL_DEPTH_LIMIT, STACK_LIMIT};

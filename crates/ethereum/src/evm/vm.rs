@@ -90,7 +90,7 @@ impl ExecContext {
 }
 
 /// The EVM-lite virtual machine. Stateless: all mutation happens on the
-/// [`World`] passed to [`Vm::execute`].
+/// [`World`] passed to [`Vm::execute`] or [`Vm::execute_with`].
 ///
 /// # Examples
 ///
@@ -120,8 +120,67 @@ impl ExecContext {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Vm;
 
+/// Reusable memory of the interpreter: one operand stack per call depth,
+/// and the call and creation lists a receipt carries out.
+///
+/// [`Vm::execute`] starts from empty buffers on every call. A caller that
+/// executes many transactions keeps one `VmBuffers` and passes it to
+/// [`Vm::execute_with`]: the stacks are reused as they are, and a
+/// receipt's lists are reused once the caller hands the receipt back
+/// through [`recycle`](Self::recycle). The buffers carry no values from
+/// one execution to the next (each is cleared before use), so reusing
+/// them changes no receipt and no state.
+///
+/// # Examples
+///
+/// ```
+/// use blockpart_ethereum::evm::{ExecContext, Vm, VmBuffers};
+/// use blockpart_ethereum::{Transaction, TxPayload, World};
+/// use blockpart_types::{Gas, Timestamp, Wei};
+///
+/// let mut world = World::new();
+/// let alice = world.new_user(Wei::new(100));
+/// let bob = world.new_user(Wei::ZERO);
+/// let tx = Transaction {
+///     from: alice,
+///     to: bob,
+///     value: Wei::new(1),
+///     gas_limit: Gas::new(30_000),
+///     payload: TxPayload::Transfer,
+/// };
+/// let ctx = ExecContext::new(Timestamp::from_secs(1), 0, tx.gas_limit);
+/// let mut buffers = VmBuffers::new();
+/// for _ in 0..3 {
+///     let receipt = Vm::execute_with(&mut world, &tx, &ctx, &mut buffers);
+///     assert_eq!(receipt.calls.len(), 1);
+///     buffers.recycle(receipt); // the next execution reuses its lists
+/// }
+/// assert_eq!(world.balance(bob), Wei::new(3));
+/// ```
+#[derive(Debug, Default)]
+pub struct VmBuffers {
+    /// The operand stack of the frame at each call depth.
+    stacks: [Vec<u64>; CALL_DEPTH_LIMIT],
+    calls: Vec<CallRecord>,
+    created: Vec<Address>,
+}
+
+impl VmBuffers {
+    /// Empty buffers; they grow to the largest execution they serve.
+    pub fn new() -> Self {
+        VmBuffers::default()
+    }
+
+    /// Takes back a receipt's call and creation lists, so the next
+    /// execution fills them instead of allocating its own.
+    pub fn recycle(&mut self, receipt: Receipt) {
+        self.calls = receipt.calls;
+        self.created = receipt.created;
+    }
+}
+
 /// Mutable interpreter state shared across call frames.
-struct ExecState {
+struct ExecState<'b> {
     gas_used: u64,
     gas_limit: u64,
     time: Timestamp,
@@ -129,9 +188,10 @@ struct ExecState {
     schedule: GasSchedule,
     calls: Vec<CallRecord>,
     created: Vec<Address>,
+    stacks: &'b mut [Vec<u64>; CALL_DEPTH_LIMIT],
 }
 
-impl ExecState {
+impl ExecState<'_> {
     fn charge(&mut self, gas: Gas) -> Result<(), VmError> {
         self.gas_used += gas.get();
         if self.gas_used > self.gas_limit {
@@ -161,22 +221,41 @@ impl Vm {
     /// (a simplification — the paper's graph counts interactions, not
     /// rollbacks) and consume gas.
     pub fn execute(world: &mut World, tx: &Transaction, ctx: &ExecContext) -> Receipt {
+        Vm::execute_with(world, tx, ctx, &mut VmBuffers::new())
+    }
+
+    /// Like [`execute`](Self::execute), running in `buffers` instead of
+    /// fresh memory; see [`VmBuffers`]. The receipt's lists are the
+    /// buffers' own, so hand the receipt back through
+    /// [`VmBuffers::recycle`] once it is read to make the next execution
+    /// allocation-free.
+    pub fn execute_with(
+        world: &mut World,
+        tx: &Transaction,
+        ctx: &ExecContext,
+        buffers: &mut VmBuffers,
+    ) -> Receipt {
+        let mut calls = std::mem::take(&mut buffers.calls);
+        calls.clear();
+        let mut created = std::mem::take(&mut buffers.created);
+        created.clear();
         let mut state = ExecState {
             gas_used: 0,
             gas_limit: ctx.gas_limit.get(),
             time: ctx.time,
             rand_state: ctx.entropy | 1,
             schedule: ctx.schedule,
-            calls: Vec::new(),
-            created: Vec::new(),
+            calls,
+            created,
+            stacks: &mut buffers.stacks,
         };
         world.bump_nonce(tx.from);
         if state.charge(Gas::new(ctx.schedule.tx_base)).is_err() {
             return Receipt {
                 status: TxStatus::Failed,
                 gas_used: Gas::new(state.gas_used),
-                calls: Vec::new(),
-                created: Vec::new(),
+                calls: state.calls,
+                created: state.created,
             };
         }
 
@@ -240,7 +319,10 @@ impl Vm {
     }
 }
 
-/// Interprets `ops` in the frame of contract `self_addr`.
+/// Interprets `ops` in the frame of contract `self_addr`, on the operand
+/// stack the buffers keep for `depth`. The stack is taken out for the
+/// frame and put back here, after [`run_frame`] returns, so every return
+/// path of the frame loop hands it back.
 #[allow(clippy::too_many_arguments)]
 fn run(
     world: &mut World,
@@ -250,9 +332,30 @@ fn run(
     value: Wei,
     arg: u64,
     depth: usize,
-    state: &mut ExecState,
+    state: &mut ExecState<'_>,
 ) -> Result<u64, VmError> {
-    let mut stack: Vec<u64> = vec![arg];
+    let mut stack = std::mem::take(&mut state.stacks[depth]);
+    stack.clear();
+    stack.push(arg);
+    let result = run_frame(
+        world, ops, self_addr, caller, value, depth, &mut stack, state,
+    );
+    state.stacks[depth] = stack;
+    result
+}
+
+/// The frame loop of [`run`], starting from `stack` = `[arg]`.
+#[allow(clippy::too_many_arguments)]
+fn run_frame(
+    world: &mut World,
+    ops: &[Op],
+    self_addr: Address,
+    caller: Address,
+    value: Wei,
+    depth: usize,
+    stack: &mut Vec<u64>,
+    state: &mut ExecState<'_>,
+) -> Result<u64, VmError> {
     let mut pc = 0usize;
 
     macro_rules! pop {

@@ -375,6 +375,22 @@ impl World {
         }
     }
 
+    /// Empties the world back to what [`World::new`] makes, but keeps the
+    /// maps' allocated capacity, so a world that is refilled and emptied
+    /// over and over (the sharded runtime's per-worker scratch world)
+    /// stops allocating once its maps have grown. Dropping the state also
+    /// drops this world's hold on every contract's storage base.
+    ///
+    /// A map's iteration order depends on its capacity, so a cleared
+    /// world may list its addresses in another order than a new world
+    /// holding the same state. Reuse a cleared world only where nothing
+    /// iterates it.
+    pub fn clear(&mut self) {
+        self.accounts.clear();
+        self.contracts.clear();
+        self.next_index = 1;
+    }
+
     /// Every address this world holds state for (accounts then
     /// contracts, in no particular order).
     pub fn addresses(&self) -> impl Iterator<Item = Address> + '_ {

@@ -37,8 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use blockpart_ethereum::{ExecutedTx, World};
 use blockpart_graph::Interaction;
 use blockpart_metrics::{Json, Table};
@@ -47,7 +45,7 @@ use blockpart_runtime::{
     Assignment, LiveSession, MigrationConfig, MigrationStats, RuntimeConfig, SegmentReport,
 };
 use blockpart_shard::{RepartitionPolicy, SimulatorConfig, WindowedGraph};
-use blockpart_types::{Duration, ShardCount, Timestamp};
+use blockpart_types::{Address, Duration, ShardCount, ShardId, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the live loop: measurement window, graph retention,
@@ -598,8 +596,8 @@ impl LiveRunner {
 
             if self.cfg.policy.due(close, last_repart, cut, balance) && !session.migration_pending()
             {
-                if let Some(next) = self.repartition(&graph, &session) {
-                    window.staged_moves = session.stage_rebalance(next);
+                if let Some(placements) = self.repartition(&graph, &session) {
+                    window.staged_moves = session.stage_rebalance(&placements);
                     last_repart = close;
                 }
             }
@@ -629,10 +627,14 @@ impl LiveRunner {
         }
     }
 
-    /// Re-partitions the decayed reduced graph and overlays the result
-    /// onto the session's current routing. Returns `None` when the
-    /// buffer holds no events.
-    fn repartition(&mut self, graph: &WindowedGraph, session: &LiveSession) -> Option<Assignment> {
+    /// Re-partitions the decayed reduced graph and returns the new shard
+    /// of each of its vertices, for the session to overlay onto its
+    /// current routing. Returns `None` when the buffer holds no events.
+    fn repartition(
+        &mut self,
+        graph: &WindowedGraph,
+        session: &LiveSession,
+    ) -> Option<Vec<(Address, ShardId)>> {
         let (csr, order, ids) = graph.build()?;
         let previous: Vec<u16> = order
             .iter()
@@ -643,11 +645,13 @@ impl LiveRunner {
             .with_stable_ids(&ids)
             .with_previous(&previous);
         let partition = self.partitioner.partition(&req);
-        let mut map: HashMap<_, _> = session.assignment().mapped().collect();
-        for (v, &address) in order.iter().enumerate() {
-            map.insert(address, partition.shard_of(v));
-        }
-        Some(Assignment::from_map(map, self.cfg.k))
+        Some(
+            order
+                .iter()
+                .enumerate()
+                .map(|(v, &address)| (address, partition.shard_of(v)))
+                .collect(),
+        )
     }
 }
 

@@ -43,6 +43,7 @@
 pub mod clock;
 pub mod coordinator;
 pub mod event;
+mod footprint;
 mod live;
 pub mod locks;
 pub mod net;
@@ -53,11 +54,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use blockpart_ethereum::{ExecutedTx, World};
 use blockpart_obs::Trace;
-use blockpart_shard::AssignmentDelta;
 use blockpart_types::{mix64, Address, ShardCount, ShardId};
 
 use crate::clock::{EventQueue, Micros};
 use crate::event::{Event, TxId};
+use crate::footprint::Footprints;
 use crate::net::NetworkModel;
 use crate::shard_worker::{Ctx, ShardWorker, TxKind, TxRecord};
 
@@ -217,24 +218,17 @@ impl Assignment {
         self.map.is_empty()
     }
 
-    /// The explicitly mapped addresses and their shards.
-    pub fn mapped(&self) -> impl Iterator<Item = (Address, ShardId)> + '_ {
-        self.map.iter().map(|(&a, &s)| (a, s))
-    }
-
-    /// The delta from `self` to `next`: every address (mapped by either
-    /// side) whose owning shard changes, including hash-fallback
-    /// transitions. This is the single source of truth for "vertices
-    /// moved" — the live migration service ships exactly these batches,
-    /// and the offline simulator counts the same quantity.
+    /// Maps each address of `placements` to its shard, over whatever
+    /// the assignment held for it.
     ///
     /// # Panics
     ///
-    /// Panics if the two assignments' shard counts differ.
-    pub fn diff(&self, next: &Assignment) -> AssignmentDelta {
-        assert_eq!(self.k, next.k(), "assignments span different shard counts");
-        let union = self.map.keys().chain(next.map.keys()).copied();
-        AssignmentDelta::between(union, |a| self.shard_of(a), |a| next.shard_of(a))
+    /// Panics if a placement's shard is out of range for the shard count.
+    pub(crate) fn place(&mut self, placements: &[(Address, ShardId)]) {
+        for &(a, s) in placements {
+            assert!(self.k.contains(s), "assignment references a shard >= k");
+            self.map.insert(a, s);
+        }
     }
 }
 
@@ -308,7 +302,7 @@ impl ShardedRuntime {
         txs: &[ExecutedTx],
         detail: Detail,
     ) -> (RuntimeReport, Trace) {
-        let records = self.build_records(txs);
+        let (records, footprints) = self.build_records(txs);
         let mut workers = build_workers(&self.cfg, &self.assignment, world);
         if detail != Detail::Off {
             for worker in &mut workers {
@@ -324,6 +318,7 @@ impl ShardedRuntime {
         let ctx = Ctx {
             cfg: &self.cfg,
             txs: &records,
+            footprints: &footprints,
             net: NetworkModel {
                 latency_us: self.cfg.net_latency_us,
             },
@@ -352,19 +347,23 @@ impl ShardedRuntime {
     }
 
     /// Precomputes arrival times, homes and per-shard footprints.
-    fn build_records(&self, txs: &[ExecutedTx]) -> Vec<TxRecord> {
-        txs.iter()
+    fn build_records(&self, txs: &[ExecutedTx]) -> (Vec<TxRecord>, Footprints) {
+        let mut footprints = footprints_for(self.cfg.k, txs, 0, 0);
+        let records = txs
+            .iter()
             .enumerate()
             .map(|(i, e)| {
                 payload_record(
                     &self.cfg,
                     &self.assignment,
+                    &mut footprints,
                     e,
                     i as u64,
                     i as u64 * self.cfg.inter_arrival_us,
                 )
             })
-            .collect()
+            .collect();
+        (records, footprints)
     }
 
     fn assemble_report(&self, records: &[TxRecord], workers: Vec<ShardWorker>) -> RuntimeReport {
@@ -467,34 +466,40 @@ fn build_workers(cfg: &RuntimeConfig, assignment: &Assignment, world: &World) ->
     workers
 }
 
+/// An empty footprint arena with exact room for the footprints of `txs`
+/// plus `extra_parts` parts of `extra_addrs` addresses in all: a
+/// footprint has one part per shard it spans, at most one per address.
+fn footprints_for(
+    k: ShardCount,
+    txs: &[ExecutedTx],
+    extra_parts: usize,
+    extra_addrs: usize,
+) -> Footprints {
+    let k = usize::from(k.get());
+    let (parts, addrs) = txs.iter().fold((extra_parts, extra_addrs), |(p, a), e| {
+        (p + e.touched.len().min(k), a + e.touched.len())
+    });
+    Footprints::with_capacity(parts, addrs)
+}
+
 /// Builds the replay record of one payload transaction: footprint split
-/// by shard under `assignment`, entropy drawn from the global index so
-/// a live session's segments reproduce a single continuous stream.
+/// by shard under `assignment` into `footprints`, entropy drawn from the
+/// global index so a live session's segments reproduce a single
+/// continuous stream.
 fn payload_record(
     cfg: &RuntimeConfig,
     assignment: &Assignment,
+    footprints: &mut Footprints,
     e: &ExecutedTx,
     global_index: u64,
     arrival_us: Micros,
 ) -> TxRecord {
-    // a footprint spans a handful of shards, so a linear scan beats a
-    // map; there is at most one part per address and per shard
-    let mut parts: Vec<(ShardId, Vec<Address>)> =
-        Vec::with_capacity(e.touched.len().min(usize::from(cfg.k.get())));
-    for &a in &e.touched {
-        let shard = assignment.shard_of(a);
-        match parts.iter_mut().find(|(s, _)| *s == shard) {
-            Some((_, addrs)) => addrs.push(a),
-            None => parts.push((shard, vec![a])),
-        }
-    }
-    parts.sort_unstable_by_key(|&(s, _)| s);
     TxRecord {
         arrival_us,
         block_time: e.time,
         tx: e.tx,
         home: assignment.shard_of(e.tx.from),
-        parts,
+        parts: footprints.push_grouped(&e.touched, |a| assignment.shard_of(a)),
         entropy: mix64(cfg.seed ^ global_index),
         kind: TxKind::Payload,
     }

@@ -41,7 +41,10 @@ use crate::clock::Micros;
 use crate::event::TxId;
 use crate::net::NetworkModel;
 use crate::shard_worker::{Ctx, ShardWorker, TxKind, TxRecord};
-use crate::{arrivals_of, drive, payload_record, Assignment, Detail, RuntimeConfig, RuntimeReport};
+use crate::{
+    arrivals_of, drive, footprints_for, payload_record, Assignment, Detail, RuntimeConfig,
+    RuntimeReport,
+};
 
 /// Batching and pacing of live state migration.
 ///
@@ -223,15 +226,29 @@ impl LiveSession {
     }
 
     /// Stages a routing change to execute at the next segment's epoch
-    /// barrier. Returns the number of accounts that will move; a
-    /// no-move delta stages nothing. Staging again before the next
+    /// barrier: the current routing with each address of `placements`
+    /// moved to its shard. Returns the number of accounts that will move;
+    /// a no-move delta stages nothing. Staging again before the next
     /// segment replaces the previous stage.
+    ///
+    /// Only the placed addresses can change shard, so the delta is
+    /// computed from them alone: the cost of staging follows the
+    /// repartitioned window, not the size of the routing table. The
+    /// delta sorts and dedups each group, so the placements may come in
+    /// any order.
     ///
     /// # Panics
     ///
-    /// Panics if `next` spans a different shard count.
-    pub fn stage_rebalance(&mut self, next: Assignment) -> u64 {
-        let delta = self.assignment.diff(&next);
+    /// Panics if a placement's shard is out of range for the session's
+    /// shard count.
+    pub fn stage_rebalance(&mut self, placements: &[(Address, ShardId)]) -> u64 {
+        let mut next = self.assignment.clone();
+        next.place(placements);
+        let delta = AssignmentDelta::between(
+            placements.iter().map(|&(a, _)| a),
+            |a| self.assignment.shard_of(a),
+            |a| next.shard_of(a),
+        );
         let moved = delta.total_moved();
         self.staged = if moved > 0 {
             Some(Staged { next, delta })
@@ -256,43 +273,43 @@ impl LiveSession {
             self.assignment = s.next.clone();
         }
 
-        let mut records: Vec<TxRecord> = txs
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                payload_record(
-                    &self.cfg,
-                    &self.assignment,
-                    e,
-                    self.next_global_tx + i as u64,
-                    start + i as u64 * self.cfg.inter_arrival_us,
-                )
-            })
-            .collect();
+        let batches = staged
+            .as_ref()
+            .map_or_else(Vec::new, |s| s.delta.batches(mig.batch_accounts));
+        let moving = batches.iter().map(|b| b.addrs.len()).sum();
+        let mut footprints = footprints_for(self.cfg.k, txs, batches.len(), moving);
+        let mut records: Vec<TxRecord> = Vec::with_capacity(txs.len() + batches.len());
+        records.extend(txs.iter().enumerate().map(|(i, e)| {
+            payload_record(
+                &self.cfg,
+                &self.assignment,
+                &mut footprints,
+                e,
+                self.next_global_tx + i as u64,
+                start + i as u64 * self.cfg.inter_arrival_us,
+            )
+        }));
         self.next_global_tx += txs.len() as u64;
         let foreground = records.len();
 
-        let mut batches_staged = 0u64;
-        if let Some(s) = &staged {
-            for (j, batch) in s.delta.batches(mig.batch_accounts).into_iter().enumerate() {
-                let txid = TxId((records.len()) as u32);
-                // guard locks: the destination seals the moving
-                // addresses before any foreground event of this segment
-                let guarded = self.workers[batch.to.as_usize()]
-                    .locks
-                    .try_lock_all(txid, &batch.addrs);
-                assert!(guarded, "destination shard had stale locks at the barrier");
-                records.push(TxRecord {
-                    arrival_us: start + j as u64 * mig.pacing_us,
-                    block_time: Timestamp::EPOCH,
-                    tx: migration_marker(),
-                    home: batch.to,
-                    parts: vec![(batch.from, batch.addrs)],
-                    entropy: 0,
-                    kind: TxKind::Migration,
-                });
-                batches_staged += 1;
-            }
+        let batches_staged = batches.len() as u64;
+        for (j, batch) in batches.into_iter().enumerate() {
+            let txid = TxId((records.len()) as u32);
+            // guard locks: the destination seals the moving addresses
+            // before any foreground event of this segment
+            let guarded = self.workers[batch.to.as_usize()]
+                .locks
+                .try_lock_all(txid, &batch.addrs);
+            assert!(guarded, "destination shard had stale locks at the barrier");
+            records.push(TxRecord {
+                arrival_us: start + j as u64 * mig.pacing_us,
+                block_time: Timestamp::EPOCH,
+                tx: migration_marker(),
+                home: batch.to,
+                parts: footprints.push_part(batch.from, &batch.addrs),
+                entropy: 0,
+                kind: TxKind::Migration,
+            });
         }
 
         if self.detail != Detail::Off {
@@ -310,6 +327,7 @@ impl LiveSession {
         let ctx = Ctx {
             cfg: &self.cfg,
             txs: &records,
+            footprints: &footprints,
             net: NetworkModel {
                 latency_us: self.cfg.net_latency_us,
             },
@@ -446,12 +464,13 @@ mod tests {
         ExecutedTx::new(Timestamp::from_secs(t), tx, &receipt)
     }
 
-    /// Four users pinned to shard 0, then rebalanced two-and-two.
-    fn setup() -> (World, Vec<Address>, Assignment, Assignment) {
+    /// Four users pinned to shard 0, and the placements that rebalance
+    /// them two-and-two.
+    fn setup() -> (World, Vec<Address>, Assignment, Vec<(Address, ShardId)>) {
         let mut world = World::new();
         let addrs: Vec<Address> = (0..4).map(|_| world.new_user(Wei::new(1_000))).collect();
         let all0: HashMap<Address, ShardId> = addrs.iter().map(|&a| (a, ShardId::new(0))).collect();
-        let split: HashMap<Address, ShardId> = addrs
+        let split = addrs
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, ShardId::new((i % 2) as u16)))
@@ -460,7 +479,7 @@ mod tests {
             world,
             addrs,
             Assignment::from_map(all0, ShardCount::TWO),
-            Assignment::from_map(split, ShardCount::TWO),
+            split,
         )
     }
 
@@ -468,7 +487,7 @@ mod tests {
     fn migration_moves_state_between_shards() {
         let (world, addrs, before, after) = setup();
         let mut session = LiveSession::new(RuntimeConfig::new(ShardCount::TWO), before, &world);
-        let moved = session.stage_rebalance(after);
+        let moved = session.stage_rebalance(&after);
         assert_eq!(moved, 2); // odd-indexed users move 0 → 1
         let report = session.run_segment(&[], &MigrationConfig::default());
         let mig = report.migration.expect("migration executed");
@@ -500,7 +519,7 @@ mod tests {
         assert_eq!(quiet.committed, 20);
         assert!(quiet.migration.is_none());
 
-        session.stage_rebalance(after);
+        session.stage_rebalance(&after);
         let busy = session.run_segment(&txs, &MigrationConfig::default());
         assert_eq!(busy.committed, 20, "migration must not drop traffic");
         assert_eq!(busy.failed, 0);
@@ -522,13 +541,39 @@ mod tests {
 
     #[test]
     fn empty_rebalance_stages_nothing() {
-        let (world, _, before, _) = setup();
-        let mut session =
-            LiveSession::new(RuntimeConfig::new(ShardCount::TWO), before.clone(), &world);
-        assert_eq!(session.stage_rebalance(before), 0);
+        let (world, addrs, before, _) = setup();
+        let mut session = LiveSession::new(RuntimeConfig::new(ShardCount::TWO), before, &world);
+        let unchanged: Vec<_> = addrs.iter().map(|&a| (a, ShardId::new(0))).collect();
+        assert_eq!(session.stage_rebalance(&unchanged), 0);
         assert!(!session.migration_pending());
         let report = session.run_segment(&[], &MigrationConfig::default());
         assert!(report.migration.is_none());
+    }
+
+    #[test]
+    fn unplaced_addresses_keep_their_shard() {
+        let (world, addrs, before, _) = setup();
+        let mut session = LiveSession::new(RuntimeConfig::new(ShardCount::TWO), before, &world);
+        // an unmapped address moves from its hash shard; placements may
+        // repeat and come in any order
+        let stranger = Address::from_index(1_000);
+        let home = session.assignment().shard_of(stranger);
+        let away = ShardId::new(1 - home.as_u16());
+        let placements = [
+            (addrs[3], ShardId::new(1)),
+            (stranger, away),
+            (addrs[3], ShardId::new(1)),
+        ];
+        assert_eq!(session.stage_rebalance(&placements), 2);
+        // a later stage replaces the earlier one
+        assert_eq!(session.stage_rebalance(&placements[..1]), 1);
+        session.run_segment(&[], &MigrationConfig::default());
+        let routing = session.assignment();
+        assert_eq!(routing.shard_of(addrs[3]), ShardId::new(1));
+        assert_eq!(routing.shard_of(stranger), home);
+        for &a in &addrs[..3] {
+            assert_eq!(routing.shard_of(a), ShardId::new(0));
+        }
     }
 
     #[test]

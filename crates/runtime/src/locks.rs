@@ -4,6 +4,13 @@
 //! `no` immediately instead of queueing, which makes distributed
 //! deadlock impossible (at the price of aborts, which the report
 //! counts).
+//!
+//! The table keeps only who holds each address. A holder's locks are
+//! released by naming them: every caller knows them already, since a
+//! transaction locks its footprint on the shard (and a migration batch
+//! its moving addresses on the destination).
+
+use std::collections::hash_map::Entry;
 
 use blockpart_types::{Address, FastMap};
 
@@ -22,13 +29,12 @@ use crate::event::TxId;
 /// let (a, b) = (Address::from_index(1), Address::from_index(2));
 /// assert!(locks.try_lock_all(TxId(0), &[a, b]));
 /// assert!(!locks.try_lock_all(TxId(1), &[b])); // conflict
-/// locks.release(TxId(0));
+/// locks.release(TxId(0), &[a, b]);
 /// assert!(locks.try_lock_all(TxId(1), &[b]));
 /// ```
 #[derive(Debug, Default)]
 pub struct LockTable {
     held: FastMap<Address, TxId>,
-    by_tx: FastMap<TxId, Vec<Address>>,
 }
 
 impl LockTable {
@@ -46,19 +52,22 @@ impl LockTable {
         {
             return false;
         }
-        let taken = self.by_tx.entry(tx).or_default();
         for &a in addrs {
-            if self.held.insert(a, tx).is_none() {
-                taken.push(a);
-            }
+            self.held.insert(a, tx);
         }
         true
     }
 
-    /// Releases every lock `tx` holds.
-    pub fn release(&mut self, tx: TxId) {
-        for a in self.by_tx.remove(&tx).unwrap_or_default() {
-            self.held.remove(&a);
+    /// Releases each address of `addrs` that `tx` holds; addresses that
+    /// are free or held by another transaction stay as they are. Passing
+    /// the addresses `tx` locked releases all of its locks.
+    pub fn release(&mut self, tx: TxId, addrs: &[Address]) {
+        for a in addrs {
+            if let Entry::Occupied(held) = self.held.entry(*a) {
+                if *held.get() == tx {
+                    held.remove();
+                }
+            }
         }
     }
 
@@ -94,9 +103,10 @@ mod tests {
     #[test]
     fn release_frees_everything() {
         let mut t = LockTable::new();
-        assert!(t.try_lock_all(TxId(7), &[addr(1), addr(2), addr(3)]));
+        let addrs = [addr(1), addr(2), addr(3)];
+        assert!(t.try_lock_all(TxId(7), &addrs));
         assert_eq!(t.held_count(), 3);
-        t.release(TxId(7));
+        t.release(TxId(7), &addrs);
         assert_eq!(t.held_count(), 0);
         assert!(t.try_lock_all(TxId(8), &[addr(2)]));
     }
@@ -106,7 +116,17 @@ mod tests {
         let mut t = LockTable::new();
         assert!(t.try_lock_all(TxId(3), &[addr(5)]));
         assert!(t.try_lock_all(TxId(3), &[addr(5), addr(6)]));
-        t.release(TxId(3));
+        t.release(TxId(3), &[addr(5), addr(6)]);
         assert_eq!(t.held_count(), 0);
+    }
+
+    #[test]
+    fn release_leaves_other_holders_alone() {
+        let mut t = LockTable::new();
+        assert!(t.try_lock_all(TxId(1), &[addr(1)]));
+        assert!(t.try_lock_all(TxId(2), &[addr(2)]));
+        t.release(TxId(1), &[addr(1), addr(2), addr(3)]);
+        assert_eq!(t.holder(addr(1)), None);
+        assert_eq!(t.holder(addr(2)), Some(TxId(2)));
     }
 }

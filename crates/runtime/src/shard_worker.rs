@@ -8,20 +8,46 @@
 //! event clock, so the engine's merge order alone decides event order.
 //! The engine keeps one input and one emit buffer per worker for the
 //! whole run and reuses them for every batch.
+//!
+//! A worker also reuses its own memory from one transaction to the next:
+//! one scratch world for cross-shard executions, one set of VM buffers,
+//! and small free lists of coordinator states and of the snapshot
+//! vectors that votes and commits carry. A vector that arrives in a
+//! message joins the receiving worker's free list once it is emptied.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
-use blockpart_ethereum::evm::{ExecContext, GasSchedule, Vm};
-use blockpart_ethereum::{Receipt, Transaction, World};
+use blockpart_ethereum::evm::{ExecContext, GasSchedule, Vm, VmBuffers};
+use blockpart_ethereum::{AddressState, Receipt, Transaction, World};
 use blockpart_obs::{Collector, Record, Trace};
 use blockpart_types::{mix64, Address, FastMap, ShardId, Timestamp};
 
 use crate::clock::Micros;
 use crate::coordinator::CoordState;
 use crate::event::{Event, TxId};
+use crate::footprint::Footprints;
 use crate::locks::LockTable;
 use crate::net::{Message, NetworkModel, Payload};
 use crate::RuntimeConfig;
+
+/// Most spare coordinator states, and most spare snapshot vectors, one
+/// worker keeps. Enough to cover the rounds that open while others
+/// finish; a fixed bound, so the memory a worker holds back stays small
+/// however long a session runs.
+const SPARE_BUFFERS: usize = 8;
+
+/// Most states a kept snapshot vector has room for. A foreground
+/// footprint puts a few addresses on each shard, but a migration batch
+/// ships up to [`MigrationConfig::batch_accounts`](crate::MigrationConfig)
+/// states at once; a vector grown that large is dropped, not kept. With
+/// the count bound, a worker keeps room for at most 2 × 8 × 16 states
+/// in reserve, so a live session's peak heap stays where it was without
+/// the free lists.
+const SPARE_CAPACITY: usize = 16;
+
+/// State snapshots as a vote or a commit carries them.
+type States = Vec<(Address, AddressState)>;
 
 /// What a [`TxRecord`] represents: a payload transaction from the
 /// workload, or a state-migration batch injected by a live
@@ -49,8 +75,9 @@ pub(crate) struct TxRecord {
     pub tx: Transaction,
     /// Home shard (the sender's shard; always a participant).
     pub home: ShardId,
-    /// Footprint addresses grouped by owning shard, ascending shard id.
-    pub parts: Vec<(ShardId, Vec<Address>)>,
+    /// Footprint addresses grouped by owning shard, ascending shard id:
+    /// a range of parts in the run's [`Footprints`] arena.
+    pub parts: Range<u32>,
     /// Per-transaction entropy for the VM's `RAND` opcode.
     pub entropy: u64,
     /// Payload transaction or migration batch.
@@ -64,23 +91,28 @@ impl TxRecord {
     pub fn is_cross(&self) -> bool {
         self.parts.len() > 1 || self.kind == TxKind::Migration
     }
-
-    /// The footprint addresses owned by `shard` (empty if not a
-    /// participant).
-    pub fn addrs_on(&self, shard: ShardId) -> &[Address] {
-        self.parts
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, a)| a.as_slice())
-            .unwrap_or(&[])
-    }
 }
 
 /// Read-only context shared by every worker during a batch.
 pub(crate) struct Ctx<'a> {
     pub cfg: &'a RuntimeConfig,
     pub txs: &'a [TxRecord],
+    /// The footprints of `txs`.
+    pub footprints: &'a Footprints,
     pub net: NetworkModel,
+}
+
+impl Ctx<'_> {
+    /// The record of `tx`.
+    fn rec(&self, tx: TxId) -> &TxRecord {
+        &self.txs[tx.as_usize()]
+    }
+
+    /// The footprint addresses of `tx` owned by `shard` (empty if not a
+    /// participant).
+    fn addrs_on(&self, tx: TxId, shard: ShardId) -> &[Address] {
+        self.footprints.addrs_on(&self.rec(tx).parts, shard)
+    }
 }
 
 /// An event a worker wants scheduled.
@@ -128,6 +160,48 @@ pub(crate) struct WorkerStats {
     pub migration_last_us: Micros,
 }
 
+/// A worker's free lists, each at most [`SPARE_BUFFERS`] long, of
+/// vectors with room for at most [`SPARE_CAPACITY`] states.
+#[derive(Debug, Default)]
+struct Spares {
+    coords: Vec<CoordState>,
+    states: Vec<States>,
+}
+
+impl Spares {
+    /// A coordinator state for round 1 of a new transaction.
+    fn coord(&mut self) -> CoordState {
+        let mut coord = self.coords.pop().unwrap_or_default();
+        coord.reset_round(1, 0);
+        coord
+    }
+
+    /// Keeps a finished transaction's coordinator state for reuse.
+    fn put_coord(&mut self, mut coord: CoordState) {
+        if self.coords.len() < SPARE_BUFFERS {
+            // drop any snapshot now: a kept one would hold a storage base
+            coord.reset_round(0, 0);
+            if coord.shipped.capacity() > SPARE_CAPACITY {
+                coord.shipped = Vec::new();
+            }
+            self.coords.push(coord);
+        }
+    }
+
+    /// An empty vector for a vote's snapshots or a commit's write-set.
+    fn states(&mut self) -> States {
+        self.states.pop().unwrap_or_default()
+    }
+
+    /// Keeps an emptied snapshot vector for reuse.
+    fn put_states(&mut self, states: States) {
+        debug_assert!(states.is_empty(), "spare snapshot vectors hold no state");
+        if (1..=SPARE_CAPACITY).contains(&states.capacity()) && self.states.len() < SPARE_BUFFERS {
+            self.states.push(states);
+        }
+    }
+}
+
 pub(crate) struct ShardWorker {
     pub id: ShardId,
     pub world: World,
@@ -144,6 +218,15 @@ pub(crate) struct ShardWorker {
     pub obs: Trace,
     /// End of the last execution, for idle-gap spans.
     idle_from: Micros,
+    /// The world a cross-shard execution runs in, cleared after each.
+    /// One per worker suffices because the execution unit runs one
+    /// transaction at a time; a cleared world may differ from a new one
+    /// only in map capacity, and so in iteration order, which is safe
+    /// because nothing iterates a scratch world.
+    scratch: World,
+    /// The VM's stacks and receipt lists, reused by every execution.
+    vm: VmBuffers,
+    spares: Spares,
 }
 
 impl ShardWorker {
@@ -158,6 +241,9 @@ impl ShardWorker {
             stats: WorkerStats::default(),
             obs: Trace::disabled(),
             idle_from: 0,
+            scratch: World::new(),
+            vm: VmBuffers::new(),
+            spares: Spares::default(),
         }
     }
 
@@ -190,8 +276,8 @@ impl ShardWorker {
     }
 
     fn on_arrival(&mut self, tx: TxId, now: Micros, ctx: &Ctx<'_>, out: &mut Vec<Emit>) {
-        if ctx.txs[tx.as_usize()].is_cross() {
-            self.coords.insert(tx, CoordState::new_round(1, 0));
+        if ctx.rec(tx).is_cross() {
+            self.coords.insert(tx, self.spares.coord());
             self.start_prepare_round(tx, now, ctx, out);
         } else {
             self.queue.push_back(Work::Local(tx));
@@ -200,10 +286,11 @@ impl ShardWorker {
 
     /// Broadcasts `Prepare` for the coordinator's current attempt.
     fn start_prepare_round(&mut self, tx: TxId, now: Micros, ctx: &Ctx<'_>, out: &mut Vec<Emit>) {
-        let rec = &ctx.txs[tx.as_usize()];
+        let rec = ctx.rec(tx);
+        let parts = ctx.footprints.parts(&rec.parts);
         let coord = self.coords.get_mut(&tx).expect("coordinator state exists");
         let attempt = coord.attempt;
-        *coord = CoordState::new_round(attempt, rec.parts.len());
+        coord.reset_round(attempt, parts.len());
         if rec.kind == TxKind::Migration {
             // migration rounds are accounted separately so they never
             // distort the foreground abort rate
@@ -211,7 +298,7 @@ impl ShardWorker {
                 self.obs.record(
                     Record::instant(now, "migration", "migration.prepare")
                         .with_arg("tx", tx.0)
-                        .with_arg("accounts", rec.addrs_on(rec.parts[0].0).len()),
+                        .with_arg("accounts", ctx.footprints.addrs(&parts[0]).len()),
                 );
             }
         } else {
@@ -226,10 +313,10 @@ impl ShardWorker {
             }
             self.obs.add("prepare_rounds", 1);
         }
-        for &(shard, _) in &rec.parts {
+        for &part in parts {
             out.push(Emit {
-                at: now + ctx.net.delay(self.id, shard),
-                shard,
+                at: now + ctx.net.delay(self.id, part.shard),
+                shard: part.shard,
                 event: Event::Net(Message {
                     from: self.id,
                     payload: Payload::Prepare { tx, attempt },
@@ -245,7 +332,7 @@ impl ShardWorker {
                 self.on_vote(tx, msg.from, ok, shipped, now, ctx, out)
             }
             Payload::Commit { tx, writes } => self.on_commit(tx, writes, now, ctx, out),
-            Payload::Abort { tx } => self.locks.release(tx),
+            Payload::Abort { tx } => self.locks.release(tx, ctx.addrs_on(tx, self.id)),
             Payload::Ack { tx } => self.on_ack(tx, now, ctx),
         }
     }
@@ -259,7 +346,7 @@ impl ShardWorker {
         ctx: &Ctx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        let addrs = ctx.txs[tx.as_usize()].addrs_on(self.id);
+        let addrs = ctx.addrs_on(tx, self.id);
         let ok = self.locks.try_lock_all(tx, addrs);
         if self.obs.events() {
             self.obs.record(
@@ -270,10 +357,13 @@ impl ShardWorker {
             );
         }
         let shipped = if ok {
-            addrs
-                .iter()
-                .filter_map(|&a| self.world.export_state(a).map(|s| (a, s)))
-                .collect()
+            let mut shipped = self.spares.states();
+            shipped.extend(
+                addrs
+                    .iter()
+                    .filter_map(|&a| self.world.export_state(a).map(|s| (a, s))),
+            );
+            shipped
         } else {
             Vec::new()
         };
@@ -295,7 +385,7 @@ impl ShardWorker {
         tx: TxId,
         from: ShardId,
         ok: bool,
-        shipped: Vec<(Address, blockpart_ethereum::AddressState)>,
+        mut shipped: States,
         now: Micros,
         ctx: &Ctx<'_>,
         out: &mut Vec<Emit>,
@@ -309,7 +399,9 @@ impl ShardWorker {
             );
         }
         let coord = self.coords.get_mut(&tx).expect("vote for unknown tx");
-        if !coord.record_vote(from, ok, shipped) {
+        let complete = coord.record_vote(from, ok, &mut shipped);
+        self.spares.put_states(shipped);
+        if !complete {
             return;
         }
         if !coord.any_no {
@@ -320,13 +412,12 @@ impl ShardWorker {
         }
         // abort the round: release the locks the yes-voters hold
         debug_assert!(
-            ctx.txs[tx.as_usize()].kind != TxKind::Migration,
+            ctx.rec(tx).kind != TxKind::Migration,
             "migration prepares cannot conflict: routing swaps before the \
              segment, so no foreground footprint references moving state \
              on the source shard"
         );
         self.stats.aborted_rounds += 1;
-        let locked = std::mem::take(&mut coord.locked);
         // drop the snapshots now, not at the retry: while they live, the
         // participants' storage bases stay shared and their next install
         // would have to copy them
@@ -345,12 +436,12 @@ impl ShardWorker {
                 Record::instant(now, "2pc", "2pc.abort")
                     .with_arg("tx", tx.0)
                     .with_arg("attempt", attempt)
-                    .with_arg("shards", ctx.txs[tx.as_usize()].parts.len())
+                    .with_arg("shards", ctx.rec(tx).parts.len())
                     .with_arg("cause", cause),
             );
         }
         self.obs.add(counter, 1);
-        for shard in locked {
+        for &shard in &coord.locked {
             out.push(Emit {
                 at: now + ctx.net.delay(self.id, shard),
                 shard,
@@ -361,11 +452,11 @@ impl ShardWorker {
             });
         }
         if attempt >= ctx.cfg.max_attempts {
-            self.coords.remove(&tx);
+            let coord = self.coords.remove(&tx).expect("still coordinating");
+            self.spares.put_coord(coord);
             self.stats.failed += 1;
             return;
         }
-        let coord = self.coords.get_mut(&tx).expect("still coordinating");
         coord.attempt = attempt + 1;
         out.push(Emit {
             at: now + backoff_us(ctx.cfg, tx, attempt),
@@ -378,25 +469,27 @@ impl ShardWorker {
     fn on_commit(
         &mut self,
         tx: TxId,
-        writes: Vec<(Address, blockpart_ethereum::AddressState)>,
+        mut writes: States,
         now: Micros,
         ctx: &Ctx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        let rec = &ctx.txs[tx.as_usize()];
+        let rec = ctx.rec(tx);
+        let addrs = ctx.addrs_on(tx, self.id);
         if rec.kind == TxKind::Migration {
             // migration commit at the source: the destination installed
             // the shipped copies, so the originals are discarded here
-            for &a in rec.addrs_on(self.id) {
+            for &a in addrs {
                 self.world.take_state(a);
             }
         } else {
-            for (a, state) in writes {
+            for (a, state) in writes.drain(..) {
                 self.world.install_state(a, state);
             }
+            self.spares.put_states(writes);
         }
-        self.locks.release(tx);
-        let coordinator = ctx.txs[tx.as_usize()].home;
+        self.locks.release(tx, addrs);
+        let coordinator = rec.home;
         out.push(Emit {
             at: now + ctx.net.delay(self.id, coordinator),
             shard: coordinator,
@@ -417,10 +510,11 @@ impl ShardWorker {
             return;
         }
         let attempts = coord.attempt;
-        self.coords.remove(&tx);
-        let rec = &ctx.txs[tx.as_usize()];
+        let coord = self.coords.remove(&tx).expect("ack for unknown tx");
+        self.spares.put_coord(coord);
+        let rec = ctx.rec(tx);
         if rec.kind == TxKind::Migration {
-            let accounts: u64 = rec.parts.iter().map(|(_, a)| a.len() as u64).sum();
+            let accounts = ctx.footprints.all_addrs(&rec.parts).len() as u64;
             self.stats.migration_batches += 1;
             self.stats.migrated_accounts += accounts;
             self.stats.migration_last_us = self.stats.migration_last_us.max(now);
@@ -442,7 +536,7 @@ impl ShardWorker {
                 Record::instant(now, "2pc", "2pc.commit")
                     .with_arg("tx", tx.0)
                     .with_arg("attempts", attempts)
-                    .with_arg("shards", ctx.txs[tx.as_usize()].parts.len()),
+                    .with_arg("shards", rec.parts.len()),
             );
         }
         self.obs.add("cross_commits", 1);
@@ -450,7 +544,7 @@ impl ShardWorker {
 
     fn record_commit(&mut self, tx: TxId, now: Micros, ctx: &Ctx<'_>) {
         self.stats.committed += 1;
-        let latency = now - ctx.txs[tx.as_usize()].arrival_us;
+        let latency = now - ctx.rec(tx).arrival_us;
         self.stats.latencies_us.push(latency);
         self.stats.last_commit_us = self.stats.last_commit_us.max(now);
         self.obs.add("commits", 1);
@@ -472,8 +566,7 @@ impl ShardWorker {
             let work = self.queue.pop_front().expect("len-checked");
             match work {
                 Work::Local(tx) => {
-                    let addrs = ctx.txs[tx.as_usize()].addrs_on(self.id);
-                    if self.locks.try_lock_all(tx, addrs) {
+                    if self.locks.try_lock_all(tx, ctx.addrs_on(tx, self.id)) {
                         self.start_exec(work, now, ctx, out);
                         return;
                     }
@@ -494,7 +587,7 @@ impl ShardWorker {
         let tx = match work {
             Work::Local(tx) | Work::CrossExec(tx) => tx,
         };
-        let rec = &ctx.txs[tx.as_usize()];
+        let rec = ctx.rec(tx);
         if rec.kind == TxKind::Migration {
             self.start_migration_install(tx, now, ctx, out);
             return;
@@ -502,21 +595,24 @@ impl ShardWorker {
         let vm_ctx = ExecContext::new(rec.block_time, rec.entropy, rec.tx.gas_limit)
             .with_schedule(GasSchedule::eip150());
         let receipt = match work {
-            Work::Local(_) => Vm::execute(&mut self.world, &rec.tx, &vm_ctx),
+            Work::Local(_) => Vm::execute_with(&mut self.world, &rec.tx, &vm_ctx, &mut self.vm),
             Work::CrossExec(_) => {
                 let coord = self.coords.get_mut(&tx).expect("executing without state");
-                let mut scratch = World::new();
+                let scratch = &mut self.scratch;
+                assert!(
+                    scratch.account_count() + scratch.contract_count() == 0,
+                    "scratch world handed back uncleared"
+                );
                 scratch.raise_address_floor(self.world.address_floor());
                 for (a, state) in coord.shipped.drain(..) {
                     scratch.install_state(a, state);
                 }
-                let receipt = Vm::execute(&mut scratch, &rec.tx, &vm_ctx);
-                coord.scratch = Some(scratch);
-                coord.created = receipt.created.clone();
+                let receipt = Vm::execute_with(scratch, &rec.tx, &vm_ctx, &mut self.vm);
+                coord.created.extend_from_slice(&receipt.created);
                 receipt
             }
         };
-        self.note_strays(rec, &receipt);
+        self.note_strays(ctx.footprints.all_addrs(&rec.parts), &receipt);
         let exec_us = (receipt.gas_used.get() / ctx.cfg.gas_per_us).max(ctx.cfg.min_exec_us);
         self.stats.busy_us += exec_us;
         if self.obs.events() {
@@ -539,6 +635,7 @@ impl ShardWorker {
             );
         }
         self.obs.observe_us("exec_us", exec_us);
+        self.vm.recycle(receipt);
         self.idle_from = now + exec_us;
         self.running = Some(work);
         out.push(Emit {
@@ -589,11 +686,10 @@ impl ShardWorker {
     /// Counts executed touches outside the declared footprint — the
     /// divergence between the canonical access list and what the sharded
     /// re-execution actually did.
-    fn note_strays(&mut self, rec: &TxRecord, receipt: &Receipt) {
-        let declared = |a: Address| rec.parts.iter().any(|(_, addrs)| addrs.contains(&a));
+    fn note_strays(&mut self, declared: &[Address], receipt: &Receipt) {
         for call in &receipt.calls {
             for a in [call.from, call.to] {
-                if a != Address::ZERO && !declared(a) {
+                if a != Address::ZERO && !declared.contains(&a) {
                     self.stats.stray_touches += 1;
                 }
             }
@@ -602,41 +698,54 @@ impl ShardWorker {
 
     fn on_exec_done(&mut self, tx: TxId, now: Micros, ctx: &Ctx<'_>, out: &mut Vec<Emit>) {
         let work = self.running.take().expect("exec-done while idle");
-        if ctx.txs[tx.as_usize()].kind == TxKind::Migration {
+        let rec = ctx.rec(tx);
+        if rec.kind == TxKind::Migration {
             self.on_migration_installed(tx, now, ctx, out);
             return;
         }
         match work {
             Work::Local(_) => {
-                self.locks.release(tx);
+                self.locks.release(tx, ctx.addrs_on(tx, self.id));
                 self.record_commit(tx, now, ctx);
             }
             Work::CrossExec(_) => {
-                let rec = &ctx.txs[tx.as_usize()];
+                let parts = ctx.footprints.parts(&rec.parts);
                 let coord = self.coords.get_mut(&tx).expect("exec without state");
-                let scratch = coord.scratch.take().expect("scratch world");
-                coord.acks_pending = rec.parts.len();
-                // created contracts live on in the home shard's lane
-                self.world.raise_address_floor(scratch.address_floor());
-                for c in std::mem::take(&mut coord.created) {
-                    if let Some(state) = scratch.export_state(c) {
+                coord.acks_pending = parts.len();
+                // created contracts live on in the home shard's lane; they
+                // are exported by copy, and first, so one that is also in
+                // the footprint still ships in its write-set below
+                self.world.raise_address_floor(self.scratch.address_floor());
+                for &c in &coord.created {
+                    if let Some(state) = self.scratch.export_state(c) {
                         self.world.install_state(c, state);
                     }
                 }
-                for &(shard, ref addrs) in &rec.parts {
-                    let writes: Vec<_> = addrs
-                        .iter()
-                        .filter_map(|&a| scratch.export_state(a).map(|s| (a, s)))
-                        .collect();
+                coord.created.clear();
+                for part in parts {
+                    // each footprint address is in exactly one part, so
+                    // its state moves out of the scratch world uncopied
+                    let mut writes = self.spares.states();
+                    writes.extend(
+                        ctx.footprints
+                            .addrs(part)
+                            .iter()
+                            .filter_map(|&a| self.scratch.take_state(a).map(|s| (a, s))),
+                    );
                     out.push(Emit {
-                        at: now + ctx.net.delay(self.id, shard),
-                        shard,
+                        at: now + ctx.net.delay(self.id, part.shard),
+                        shard: part.shard,
                         event: Event::Net(Message {
                             from: self.id,
                             payload: Payload::Commit { tx, writes },
                         }),
                     });
                 }
+                // cleared before the next execution takes it: a state left
+                // behind would keep sharing its storage base, sending later
+                // writes to that contract into overlays and making the next
+                // install copy the base
+                self.scratch.clear();
             }
         }
     }
@@ -654,17 +763,20 @@ impl ShardWorker {
         ctx: &Ctx<'_>,
         out: &mut Vec<Emit>,
     ) {
-        let rec = &ctx.txs[tx.as_usize()];
+        let rec = ctx.rec(tx);
+        let parts = ctx.footprints.parts(&rec.parts);
         let coord = self.coords.get_mut(&tx).expect("install without state");
-        coord.acks_pending = rec.parts.len();
-        for (a, state) in std::mem::take(&mut coord.shipped) {
+        coord.acks_pending = parts.len();
+        for (a, state) in coord.shipped.drain(..) {
             self.world.install_state(a, state);
         }
-        self.locks.release(tx);
-        for &(shard, _) in &rec.parts {
+        // the guard locks: the batch's one part is on the source shard, so
+        // the moving addresses are all of its footprint
+        self.locks.release(tx, ctx.footprints.all_addrs(&rec.parts));
+        for &part in parts {
             out.push(Emit {
-                at: now + ctx.net.delay(self.id, shard),
-                shard,
+                at: now + ctx.net.delay(self.id, part.shard),
+                shard: part.shard,
                 event: Event::Net(Message {
                     from: self.id,
                     payload: Payload::Commit {
